@@ -15,7 +15,9 @@
 //       ok + shed == sent (the zero-silent-drops contract).
 //
 // Counter determinism note (for the baseline gate): phases (a) and (b)
-// have fully deterministic request counts. Phase (c)'s ok/shed split
+// have fully deterministic request counts, and phase (b) gives every
+// connection a disjoint slice of the tables, so with the cache off
+// each request is exactly one encode. Phase (c)'s ok/shed split
 // depends on completion timing, which is why tabrep.net.* counters are
 // on the bench_diff noisy list (absolute slack, currently 512) — the
 // split moves by a handful of requests run-to-run, never by hundreds.
@@ -141,7 +143,12 @@ int main() {
       }
     });
 
+    // Each connection cycles over its own disjoint slice of the inputs,
+    // so no request can coalesce onto another connection's encode and
+    // the counters do not depend on thread timing.
     const int64_t num_conns = 4;
+    const int64_t slice = num_inputs / num_conns;
+    TABREP_CHECK(slice > 0) << "fewer inputs than connections";
     const int64_t rounds = BenchSteps(12, 2);
     load_requests = num_conns * rounds * num_inputs;
     std::vector<std::thread> conns;
@@ -158,8 +165,8 @@ int main() {
         for (int64_t r = 0; r < rounds; ++r) {
           for (int64_t i = 0; i < num_inputs; ++i) {
             obs::ScopedTimer timer(request_us);
-            StatusOr<net::EncodeResult> out =
-                client->Encode(inputs[static_cast<size_t>(i)]);
+            StatusOr<net::EncodeResult> out = client->Encode(
+                inputs[static_cast<size_t>(c * slice + i % slice)]);
             if (!out.ok() || !out->status.ok()) {
               ++failures[static_cast<size_t>(c)];
             }

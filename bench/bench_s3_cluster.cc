@@ -21,10 +21,11 @@
 //
 // Counter determinism: the scaling phase runs strict affinity
 // (steal_threshold=0) and waits round-by-round, so hit/miss/routed
-// counts are workload-determined. The steal phase's routed/steal
-// *split* depends on instantaneous depths — which is exactly why
-// "tabrep.cluster." sits on the bench-diff noisy-prefix list (the sum
-// is invariant, the split wobbles).
+// counts are workload-determined. The steal phase also waits round by
+// round, so no request coalesces and its encode count is fixed; its
+// routed/steal *split* depends on instantaneous depths — which is
+// exactly why "tabrep.cluster." sits on the bench-diff noisy-prefix
+// list (the sum is invariant, the split wobbles).
 
 #include <atomic>
 #include <chrono>
@@ -201,14 +202,12 @@ int main() {
       if (cluster.HomeShard(in) == 0) hot.push_back(in);
     }
     TABREP_CHECK(!hot.empty());
+    // Round by round: a table is never submitted while its previous
+    // request is still in flight, so nothing coalesces and the encode
+    // count does not depend on where the router sent each request.
     const int64_t skew_rounds = BenchSteps(12, 4);
-    std::vector<std::future<StatusOr<serve::EncodedTablePtr>>> futures;
     for (int64_t r = 0; r < skew_rounds; ++r) {
-      for (const TokenizedTable& in : hot) futures.push_back(cluster.Submit(in));
-    }
-    for (auto& f : futures) {
-      StatusOr<serve::EncodedTablePtr> out = f.get();
-      TABREP_CHECK(out.ok()) << out.status().ToString();
+      TABREP_CHECK(RunRound(cluster, hot)) << "skew round failed";
     }
     const double routed = static_cast<double>(cluster.routed_count());
     const double stolen = static_cast<double>(cluster.steal_count());

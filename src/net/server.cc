@@ -241,7 +241,6 @@ Status Server::Start() {
 
   started_ = true;
   loop_thread_ = std::thread([this] { EventLoop(); });
-  completion_thread_ = std::thread([this] { CompletionLoop(); });
   return Status::OK();
 }
 
@@ -259,21 +258,13 @@ void Server::Stop() {
   [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
   loop_thread_.join();
   {
-    std::lock_guard<std::mutex> lock(completion_mu_);
-    completion_stop_ = true;
+    // Every outstanding callback captures `this` and writes wake_fd_;
+    // wait them out before either goes away.
+    std::unique_lock<std::mutex> lock(completion_mu_);
+    completion_cv_.wait(lock, [this] { return callbacks_pending_ == 0; });
+    ready_.clear();
   }
-  completion_cv_.notify_all();
-  completion_thread_.join();
-  // Completions the loop abandoned still own traces the dispatcher
-  // may be stamping (it holds raw pointers and writes before
-  // resolving each future). Wait on the futures — resolution
-  // happens-after the stamp writes — so dropping the traces below
-  // cannot free memory under the dispatcher's pen.
-  for (PendingCompletion& pending : pending_) {
-    if (pending.future.valid()) pending.future.wait();
-  }
-  pending_.clear();
-  ready_.clear();
+  global_inflight_.store(0, std::memory_order_relaxed);
   // Watchdog before window: the watchdog thread ticks the window.
   watchdog_.reset();
   window_.reset();
@@ -467,8 +458,8 @@ void Server::HandleFrame(Connection& conn, Frame frame) {
       // health probes keep working when inference is drowning. This
       // response may therefore overtake encode responses still in
       // flight on the same connection (encode-vs-encode order is
-      // untouched — those still flow FIFO through the completion
-      // queue).
+      // untouched — those leave in request order through the
+      // connection's response slots).
       const bool is_stats = frame.type == MessageType::kStatsRequest;
       Frame resp;
       resp.type = is_stats ? MessageType::kStatsResponse
@@ -500,7 +491,7 @@ void Server::HandleFrame(Connection& conn, Frame frame) {
   }
 
   RequestsCounter().Increment();
-  auto trace = std::make_unique<obs::RequestContext>();
+  auto trace = std::make_shared<obs::RequestContext>();
   trace->request_id = next_request_id_++;
   trace->conn_id = conn.id;
   trace->seq = frame.seq;
@@ -511,23 +502,19 @@ void Server::HandleFrame(Connection& conn, Frame frame) {
   // zero and the whole latency in `write`). Every reject is a typed
   // kOverloaded response — the client always learns the fate of its
   // request.
-  if (conn.inflight >= options_.max_inflight_per_conn) {
-    ShedCounter().Increment();
-    trace->status = StatusCode::kOverloaded;
-    QueueResponse(conn,
-                  ErrorFrame(MessageType::kEncodeResponse, frame.seq,
-                             Status::Overloaded(
-                                 "connection in-flight cap reached")));
-    trace->written = std::chrono::steady_clock::now();
-    FinishRequest(*trace);
-    return;
+  const char* shed = nullptr;
+  if (static_cast<int64_t>(conn.responses.size()) >=
+      options_.max_inflight_per_conn) {
+    shed = "connection in-flight cap reached";
+  } else if (global_inflight_.load(std::memory_order_relaxed) >=
+             options_.max_queue) {
+    shed = "server queue full";
   }
-  if (global_inflight_.load(std::memory_order_relaxed) >=
-      options_.max_queue) {
+  if (shed != nullptr) {
     ShedCounter().Increment();
     trace->status = StatusCode::kOverloaded;
     QueueResponse(conn, ErrorFrame(MessageType::kEncodeResponse, frame.seq,
-                                   Status::Overloaded("server queue full")));
+                                   Status::Overloaded(shed)));
     trace->written = std::chrono::steady_clock::now();
     FinishRequest(*trace);
     return;
@@ -546,26 +533,29 @@ void Server::HandleFrame(Connection& conn, Frame frame) {
     return;
   }
 
-  PendingCompletion pending;
-  pending.conn_id = conn.id;
-  pending.seq = frame.seq;
-  // Submit copies the table and never blocks on inference; shed or
-  // shutdown comes back through the future as a typed status. The
-  // dispatcher stamps the trace's dequeued/encode triple through the
-  // raw pointer before resolving the future; ownership stays with the
-  // PendingCompletion so the trace outlives the encode.
+  // Submit copies the table and never blocks on inference; a shed or
+  // shutdown comes back through the callback as a typed status. The
+  // callback runs exactly once (inline for a hit, shed or cancel, else
+  // on a dispatcher after it stamped the trace) and keeps the trace
+  // alive in case the connection closes first.
   const kernels::Precision precision = (frame.flags & kFlagInt8) != 0
                                            ? kernels::Precision::kInt8
                                            : kernels::Precision::kFloat32;
-  pending.future = encoder_->Submit(*table, trace.get(), precision);
-  pending.trace = std::move(trace);
-  conn.inflight += 1;
+  conn.responses.push_back(ResponseSlot{trace, std::nullopt});
   global_inflight_.fetch_add(1, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(completion_mu_);
-    pending_.push_back(std::move(pending));
+    ++callbacks_pending_;
   }
-  completion_cv_.notify_one();
+  encoder_->Submit(
+      *table, trace.get(), precision,
+      [this, trace](StatusOr<serve::EncodedTablePtr> result) {
+        std::lock_guard<std::mutex> lock(completion_mu_);
+        ready_.push_back(ResponseSlot{trace, std::move(result)});
+        const uint64_t one = 1;
+        [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
+        if (--callbacks_pending_ == 0) completion_cv_.notify_all();
+      });
 }
 
 void Server::QueueResponse(Connection& conn, const Frame& frame) {
@@ -597,49 +587,62 @@ void Server::HandleWritable(Connection& conn) {
 }
 
 void Server::DrainCompletions() {
-  std::deque<ReadyCompletion> ready;
+  std::deque<ResponseSlot> ready;
   {
     std::lock_guard<std::mutex> lock(completion_mu_);
     ready.swap(ready_);
   }
-  for (ReadyCompletion& done : ready) {
+  for (ResponseSlot& done : ready) {
     global_inflight_.fetch_sub(1, std::memory_order_relaxed);
-    // Every PendingCompletion carries a trace; by now the dispatcher
-    // has resolved the future, so its stamps are quiescent and this
-    // thread owns the context.
-    obs::RequestContext& trace = *done.trace;
-    trace.status =
-        done.result.ok() ? StatusCode::kOk : done.result.status().code();
-    auto it = conns_.find(done.conn_id);
+    done.trace->status =
+        done.result->ok() ? StatusCode::kOk : done.result->status().code();
+    auto it = conns_.find(done.trace->conn_id);
     if (it == conns_.end()) {
       // Connection closed while encoding. The work still happened, so
       // the trace is still finished (no serialized/written stamps —
       // those stages read 0).
-      FinishRequest(trace);
+      FinishRequest(*done.trace);
       continue;
     }
     Connection& conn = *it->second;
-    conn.inflight -= 1;
+    for (ResponseSlot& slot : conn.responses) {
+      if (slot.trace == done.trace) slot.result = std::move(done.result);
+    }
+    FlushResponses(conn);
+  }
+}
 
+void Server::FlushResponses(Connection& conn) {
+  std::vector<std::shared_ptr<obs::RequestContext>> flushed;
+  while (!conn.responses.empty() && conn.responses.front().result) {
+    ResponseSlot slot = std::move(conn.responses.front());
+    conn.responses.pop_front();
+    const StatusOr<serve::EncodedTablePtr>& result = *slot.result;
+    obs::RequestContext& trace = *slot.trace;
     Frame frame;
     frame.type = MessageType::kEncodeResponse;
-    frame.seq = done.seq;
-    if (done.result.ok()) {
-      EncodeEncodedTable(**done.result, &frame.payload, &frame.flags);
+    frame.seq = trace.seq;
+    if (result.ok()) {
+      EncodeEncodedTable(**result, &frame.payload, &frame.flags);
     } else {
-      frame.status = done.result.status().code();
-      frame.payload = done.result.status().message();
+      frame.status = result.status().code();
+      frame.payload = result.status().message();
     }
     trace.serialized = std::chrono::steady_clock::now();
     RequestUsHistogram().Record(std::chrono::duration<double, std::micro>(
                                     trace.serialized - trace.received)
                                     .count());
     QueueResponse(conn, frame);
-    HandleWritable(conn);
-    // HandleWritable may close the connection (peer gone mid-write);
-    // `conn` must not be touched after it. The trace rides `done`.
-    trace.written = std::chrono::steady_clock::now();
-    FinishRequest(trace);
+    flushed.push_back(std::move(slot.trace));
+  }
+  if (flushed.empty()) return;
+  // HandleWritable may close the connection (peer gone mid-write);
+  // `conn` must not be touched after it.
+  HandleWritable(conn);
+  const auto written = std::chrono::steady_clock::now();
+  for (const auto& trace : flushed) {
+    trace->written = written;
+    FinishRequest(*trace);
   }
 }
 
@@ -753,8 +756,11 @@ void Server::CloseConnection(uint64_t conn_id) {
   auto it = conns_.find(conn_id);
   if (it == conns_.end()) return;
   Connection& conn = *it->second;
-  // In-pipeline completions for this connection still arrive and fix
-  // up global_inflight_; only the per-connection count dies here.
+  // Results held behind an earlier slot are finished unwritten; the
+  // rest still arrive through DrainCompletions.
+  for (const ResponseSlot& slot : conn.responses) {
+    if (slot.result) FinishRequest(*slot.trace);
+  }
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn.fd, nullptr);
   ::close(conn.fd);
   ClosedCounter().Increment();
@@ -764,38 +770,8 @@ void Server::CloseConnection(uint64_t conn_id) {
 void Server::MaybeClose(Connection& conn) {
   const bool done_writing = conn.out_off == conn.outbuf.size();
   const bool finished = conn.state == ConnState::kClosing || conn.peer_eof;
-  if (finished && done_writing && conn.inflight == 0) {
+  if (finished && done_writing && conn.responses.empty()) {
     CloseConnection(conn.id);
-  }
-}
-
-void Server::CompletionLoop() {
-  while (true) {
-    PendingCompletion pending;
-    {
-      std::unique_lock<std::mutex> lock(completion_mu_);
-      completion_cv_.wait(lock,
-                          [&] { return completion_stop_ || !pending_.empty(); });
-      if (completion_stop_) return;  // Stop() drains abandoned futures
-      pending = std::move(pending_.front());
-      pending_.pop_front();
-    }
-    // The only blocking wait in the front-end, deliberately off the
-    // event loop. FIFO order keeps per-connection responses in request
-    // order even when a cache hit resolves before an earlier encode.
-    ReadyCompletion done;
-    done.conn_id = pending.conn_id;
-    done.seq = pending.seq;
-    done.result = pending.future.get();
-    // Only after the get(): the dispatcher's stamp writes happen-
-    // before set_value, so moving the trace here is race-free.
-    done.trace = std::move(pending.trace);
-    {
-      std::lock_guard<std::mutex> lock(completion_mu_);
-      ready_.push_back(std::move(done));
-    }
-    const uint64_t one = 1;
-    [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
   }
 }
 

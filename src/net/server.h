@@ -4,18 +4,18 @@
 // tabrep::net — the TCP serving front-end (ISSUE 6 tentpole). A
 // Server listens on one port, speaks the versioned frame protocol
 // (net/wire.h), and bridges encode requests onto a serve::
-// BatchedEncoder through its non-blocking Submit() path.
+// EncodeService through its non-blocking callback Submit().
 //
-// Threading boundary (see DESIGN.md "Network serving"):
-//   event-loop thread  — epoll (edge-triggered) over the listen
-//     socket, a wake eventfd, and every connection; owns all socket
-//     reads/writes, frame reassembly, admission control, and response
-//     serialization. It never blocks on inference.
-//   completion thread  — pops {connection, seq, future} entries in
-//     submission order, waits on the future (the only place a wait
-//     happens), and hands the result back to the event loop through a
-//     completion queue + eventfd wake.
-//   dispatcher thread  — inside BatchedEncoder, unchanged.
+// Threading boundary (see DESIGN.md "Network serving"): one event-loop
+// thread — epoll (edge-triggered) over the listen socket, a wake
+// eventfd, and every connection — owns all socket reads/writes, frame
+// reassembly, admission control, and response serialization, and never
+// blocks on inference. An encode's completion callback (run by the
+// encoder's dispatcher, or inline for a hit, shed or cancel) pushes its
+// result onto a ready queue and writes the eventfd; the loop flushes
+// each connection's ready prefix of response slots, so responses keep
+// request order within a connection and nothing waits across
+// connections.
 //
 // Admission control (all rejects are typed kOverloaded response
 // frames — never silent drops):
@@ -23,8 +23,8 @@
 //     yet-answered across all connections;
 //   - per-connection bound: at most max_inflight_per_conn outstanding
 //     requests per connection;
-//   - the BatchedEncoder's own max_queue, whose kOverloaded future
-//     resolves into the same wire status.
+//   - the BatchedEncoder's own max_queue, whose kOverloaded result
+//     becomes the same wire status.
 //
 // Counters (tabrep.net.*): connections.accepted, connections.closed,
 // frames.in, responses.out, bytes.in, bytes.out, requests, shed,
@@ -39,16 +39,16 @@
 // answered directly on the event loop — the introspection plane must
 // keep working precisely when the encoder is drowning — so a stats
 // response may overtake pending encode responses on the same
-// connection; encode-vs-encode order is still FIFO.
+// connection; encode-vs-encode order is still FIFO per connection.
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 
@@ -113,9 +113,10 @@ struct ServerOptions {
 };
 
 /// The TCP front-end. Construction does not touch the network; Start()
-/// binds/listens and spins up the event-loop and completion threads;
-/// Stop() (idempotent, also run by the destructor) closes every
-/// connection and joins them. The encoder must outlive the Server.
+/// binds/listens and spins up the event-loop thread; Stop()
+/// (idempotent, also run by the destructor) closes every connection,
+/// joins the loop and waits for every outstanding encode callback.
+/// The encoder must outlive the Server.
 ///
 /// The backend is any serve::EncodeService — a single BatchedEncoder
 /// or a serve::Cluster of N shards. The server is topology-agnostic:
@@ -133,9 +134,9 @@ class Server {
   /// when the socket setup fails.
   Status Start();
 
-  /// Drains nothing: outstanding encodes complete inside the
-  /// BatchedEncoder, but their responses are not written once the
-  /// loop exits. Safe to call twice.
+  /// Drains nothing: outstanding encodes complete inside the encoder
+  /// (Stop waits for their callbacks), but their responses are not
+  /// written once the loop exits. Safe to call twice.
   void Stop();
 
   /// The bound port (meaningful after Start; resolves port 0).
@@ -150,6 +151,15 @@ class Server {
   /// destruction of the Connection is kClosed.
   enum class ConnState { kOpen, kClosing };
 
+  /// One submitted encode: queued on its connection until its turn on
+  /// the wire, and on ready_ once its callback ran. The trace (which
+  /// names the connection) is shared with the callback, which may
+  /// outlive the connection.
+  struct ResponseSlot {
+    std::shared_ptr<obs::RequestContext> trace;
+    std::optional<StatusOr<serve::EncodedTablePtr>> result;
+  };
+
   struct Connection {
     int fd = -1;
     uint64_t id = 0;
@@ -157,34 +167,15 @@ class Server {
     FrameDecoder decoder;
     std::string outbuf;     // serialized frames awaiting the socket
     size_t out_off = 0;     // written prefix of outbuf
-    int64_t inflight = 0;   // submitted, response not yet queued
+    /// Submitted encodes in request order; its size is the
+    /// connection's in-flight count.
+    std::deque<ResponseSlot> responses;
     bool peer_eof = false;  // read side saw EOF
 
     explicit Connection(size_t max_payload) : decoder(max_payload) {}
   };
 
-  /// One request bridged onto the encoder, waiting for its future.
-  /// The trace is owned here (and by the ReadyCompletion after it):
-  /// the dispatcher holds only a raw pointer and writes its stamps
-  /// before resolving the future, so by the time the completion
-  /// thread's get() returns the trace is quiescent.
-  struct PendingCompletion {
-    uint64_t conn_id = 0;
-    uint32_t seq = 0;
-    std::unique_ptr<obs::RequestContext> trace;
-    std::future<StatusOr<serve::EncodedTablePtr>> future;
-  };
-
-  /// A resolved completion travelling back to the event loop.
-  struct ReadyCompletion {
-    uint64_t conn_id = 0;
-    uint32_t seq = 0;
-    std::unique_ptr<obs::RequestContext> trace;
-    StatusOr<serve::EncodedTablePtr> result{serve::EncodedTablePtr()};
-  };
-
   void EventLoop();
-  void CompletionLoop();
 
   void AcceptNew();
   /// Edge-triggered read drain; parses frames and dispatches them.
@@ -193,6 +184,9 @@ class Server {
   void HandleFrame(Connection& conn, Frame frame);
   void QueueResponse(Connection& conn, const Frame& frame);
   void DrainCompletions();
+  /// Serializes and writes the connection's leading run of slots whose
+  /// results have arrived.
+  void FlushResponses(Connection& conn);
   void CloseConnection(uint64_t conn_id);
   /// Close now if nothing is pending; else enter kClosing.
   void MaybeClose(Connection& conn);
@@ -237,14 +231,15 @@ class Server {
   std::unique_ptr<obs::WindowedRegistry> window_;
   std::unique_ptr<obs::Watchdog> watchdog_;
 
+  /// Guards ready_ and callbacks_pending_. Completion callbacks push
+  /// under it, so it is also the happens-before edge that publishes
+  /// the dispatcher's trace stamps to the event loop.
   std::mutex completion_mu_;
-  std::condition_variable completion_cv_;
-  std::deque<PendingCompletion> pending_;  // completion thread input
-  std::deque<ReadyCompletion> ready_;      // event loop input
-  bool completion_stop_ = false;
+  std::condition_variable completion_cv_;  // callbacks_pending_ hit 0
+  std::deque<ResponseSlot> ready_;         // event loop input
+  int64_t callbacks_pending_ = 0;          // submitted, callback not run
 
   std::thread loop_thread_;
-  std::thread completion_thread_;
 };
 
 }  // namespace tabrep::net

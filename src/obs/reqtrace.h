@@ -42,9 +42,11 @@
 namespace tabrep::obs {
 
 /// Per-request trace state. Owned by whoever created the request (the
-/// net::Server keeps it alive until the response is written); written
-/// by the event loop and the dispatcher at disjoint times, with the
-/// Submit future's set_value/get pair as the synchronizing edge.
+/// net::Server shares it with the completion callback and keeps it
+/// alive until the response is written); written by the event loop and
+/// the dispatcher at disjoint times, with whatever the Submit callback
+/// hands the result through (the server's completion mutex, or a
+/// future) as the synchronizing edge.
 struct RequestContext {
   using Clock = std::chrono::steady_clock;
   using TimePoint = Clock::time_point;
@@ -76,8 +78,8 @@ struct RequestContext {
 /// delta between consecutive stamps in chain order, clamped to >= 0;
 /// an unstamped stage (default-constructed TimePoint) contributes 0
 /// and does not advance the chain. `serialize` deliberately includes
-/// the completion handoff (dispatcher -> completion thread -> event
-/// loop wake) so the stage sum accounts for the full request path.
+/// the completion handoff (dispatcher callback -> eventfd -> event
+/// loop) so the stage sum accounts for the full request path.
 struct StageBreakdown {
   double admission_us = 0.0;  // received  -> admitted
   double decode_us = 0.0;     // admitted  -> decoded

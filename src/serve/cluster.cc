@@ -89,9 +89,9 @@ int64_t Cluster::HomeShard(const TokenizedTable& input) const {
                               static_cast<uint64_t>(shards_.size()));
 }
 
-std::future<StatusOr<EncodedTablePtr>> Cluster::Submit(
-    const TokenizedTable& input, obs::RequestContext* trace,
-    kernels::Precision precision) {
+void Cluster::Submit(const TokenizedTable& input, obs::RequestContext* trace,
+                     kernels::Precision precision, EncodeCallback done) {
+  std::shared_lock<std::shared_mutex> lock(route_mu_);
   const size_t n = shards_.size();
   const size_t home = static_cast<size_t>(HomeShard(input));
   if (n > 1 && options_.steal_threshold > 0 &&
@@ -112,13 +112,14 @@ std::future<StatusOr<EncodedTablePtr>> Cluster::Submit(
     if (victim != home) {
       StealCounter().Increment();
       steals_.fetch_add(1, std::memory_order_relaxed);
-      return shards_[victim]->SubmitSalted(input, trace, precision,
-                                           kStealSalt);
+      shards_[victim]->SubmitSalted(input, trace, precision, kStealSalt,
+                                    std::move(done));
+      return;
     }
   }
   RoutedCounter().Increment();
   routed_.fetch_add(1, std::memory_order_relaxed);
-  return shards_[home]->Submit(input, trace, precision);
+  shards_[home]->Submit(input, trace, precision, std::move(done));
 }
 
 StatusOr<uint64_t> Cluster::PublishWeights(const TensorMap& checkpoint) {
@@ -142,14 +143,17 @@ StatusOr<uint64_t> Cluster::PublishWeights(const TensorMap& checkpoint) {
     snapshots.push_back(std::move(snapshot));
   }
 
-  // Replica-by-replica swap: each swap is all-or-nothing, requests in
-  // flight keep the snapshot they captured, and a brief window where shard A
-  // serves version V+1 while shard B still admits under V is fine —
-  // every response still carries exactly the version it encoded under.
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    shards_[i]->SetSnapshot(snapshots[i]);
+  // Swap every replica under the exclusive routing lock: no Submit
+  // can route between two SetSnapshot calls, so no client sees shard A
+  // on V+1 and then shard B still on V. Requests in flight keep the
+  // snapshot they captured.
+  {
+    std::unique_lock<std::shared_mutex> lock(route_mu_);
+    for (size_t i = 0; i < shards_.size(); ++i) {
+      shards_[i]->SetSnapshot(snapshots[i]);
+    }
+    version_.store(next, std::memory_order_release);
   }
-  version_.store(next, std::memory_order_release);
 
   const double elapsed_us =
       std::chrono::duration<double, std::micro>(

@@ -18,11 +18,11 @@
 //
 // Hot weight reload: PublishWeights builds one freshly-imported model
 // per shard from a checkpoint (fail-atomic — an import error leaves
-// every shard untouched), then swaps them in replica-by-replica via
-// the copy-on-write snapshot pointer. In-flight requests finish on
-// the snapshot they captured at admission; nothing is dropped,
-// blocked, or reordered, and every response echoes the monotonic
-// weights version it actually encoded under.
+// every shard untouched), then swaps them all in under the exclusive
+// routing lock, so requests submitted one after another see
+// non-decreasing versions. In-flight requests finish on the snapshot
+// they captured at admission; nothing is dropped or reordered, and
+// every response echoes the weights version it encoded under.
 //
 // Metrics (tabrep.cluster.*): routed / steal / publish counters,
 // weights.version gauge, reload.us histogram. Live per-shard depths
@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <vector>
 
 #include "serve/serve.h"
@@ -73,12 +74,13 @@ class Cluster : public EncodeService {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
+  using EncodeService::Submit;
+
   /// Hash-affinity admission: routes to the home shard (or steals to
-  /// the shallowest one past the threshold) and returns that shard's
-  /// typed future. Same contract as BatchedEncoder::Submit.
-  std::future<StatusOr<EncodedTablePtr>> Submit(
-      const TokenizedTable& input, obs::RequestContext* trace = nullptr,
-      kernels::Precision precision = kernels::Precision::kFloat32) override;
+  /// the shallowest one past the threshold) and submits there. Same
+  /// contract as BatchedEncoder::Submit.
+  void Submit(const TokenizedTable& input, obs::RequestContext* trace,
+              kernels::Precision precision, EncodeCallback done) override;
 
   /// Swaps `checkpoint` into every replica under the next monotonic
   /// version, without disturbing in-flight requests. Returns the new
@@ -118,9 +120,12 @@ class Cluster : public EncodeService {
   ModelConfig config_;  // for building fresh replicas at publish time
   std::vector<std::unique_ptr<BatchedEncoder>> shards_;
 
-  /// Serializes PublishWeights calls (the snapshot swap itself is
-  /// lock-free with respect to Submit).
+  /// Serializes PublishWeights calls (model imports run under it).
   std::mutex publish_mu_;
+  /// Held shared by Submit around route + shard submit, exclusive by
+  /// PublishWeights around the snapshot swap: a Submit sees every
+  /// shard on one weights version.
+  std::shared_mutex route_mu_;
   std::atomic<uint64_t> version_{1};
   std::atomic<uint64_t> routed_{0};
   std::atomic<uint64_t> steals_{0};

@@ -56,14 +56,6 @@ obs::Counter& ShedCounter() {
   return c;
 }
 
-/// A future that is already resolved to `value`.
-std::future<StatusOr<EncodedTablePtr>> ReadyFuture(
-    StatusOr<EncodedTablePtr> value) {
-  std::promise<StatusOr<EncodedTablePtr>> promise;
-  promise.set_value(std::move(value));
-  return promise.get_future();
-}
-
 }  // namespace
 
 int64_t EnvInt64(const char* name, int64_t fallback) {
@@ -151,6 +143,18 @@ std::size_t EncodeCache::size() const {
   return lru_.size();
 }
 
+std::future<StatusOr<EncodedTablePtr>> EncodeService::Submit(
+    const TokenizedTable& input, obs::RequestContext* trace,
+    kernels::Precision precision) {
+  // Shared because std::function needs a copyable callable.
+  auto promise = std::make_shared<std::promise<StatusOr<EncodedTablePtr>>>();
+  std::future<StatusOr<EncodedTablePtr>> future = promise->get_future();
+  Submit(input, trace, precision, [promise](StatusOr<EncodedTablePtr> result) {
+    promise->set_value(std::move(result));
+  });
+  return future;
+}
+
 WeightsSnapshotPtr BorrowSnapshot(models::TableEncoderModel* model) {
   TABREP_CHECK(model != nullptr) << "BorrowSnapshot needs a model";
   auto snapshot = std::make_shared<WeightsSnapshot>();
@@ -210,9 +214,10 @@ BatchedEncoder::~BatchedEncoder() {
   dispatcher_.join();
 }
 
-std::future<StatusOr<EncodedTablePtr>> BatchedEncoder::SubmitSalted(
-    const TokenizedTable& input, obs::RequestContext* trace,
-    kernels::Precision precision, uint64_t key_salt) {
+void BatchedEncoder::SubmitSalted(const TokenizedTable& input,
+                                  obs::RequestContext* trace,
+                                  kernels::Precision precision,
+                                  uint64_t key_salt, EncodeCallback done) {
   RequestsCounter().Increment();
   if (trace != nullptr) trace->submitted = true;
   // Fast paths resolve here without ever touching the dispatcher;
@@ -249,47 +254,46 @@ std::future<StatusOr<EncodedTablePtr>> BatchedEncoder::SubmitSalted(
     CacheHitCounter().Increment();
     if (trace != nullptr) trace->cache_hit = true;
     StampFastPath();
-    return ReadyFuture(std::move(cached));
+    done(std::move(cached));
+    return;
   }
   CacheMissCounter().Increment();
 
-  std::promise<StatusOr<EncodedTablePtr>> promise;
-  std::future<StatusOr<EncodedTablePtr>> future = promise.get_future();
+  Status rejected;
   {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (stop_) {
-      StampFastPath();
-      promise.set_value(
-          Status::Cancelled("Submit after BatchedEncoder shutdown"));
-      return future;
-    }
+    std::lock_guard<std::mutex> lock(mu_);
     auto it = inflight_.find(key);
-    if (it != inflight_.end()) {
+    if (stop_) {
+      rejected = Status::Cancelled("Submit after BatchedEncoder shutdown");
+    } else if (it != inflight_.end()) {
       // Same table already queued or being encoded: attach to it.
       // Coalescing adds no encode work, so it bypasses the admission
       // bound.
       CoalescedCounter().Increment();
-      it->second->waiters.push_back(Waiter{std::move(promise), trace});
-      return future;
-    }
-    if (options_.max_queue > 0 &&
-        static_cast<int64_t>(queue_.size()) >= options_.max_queue) {
+      it->second->waiters.push_back(Waiter{std::move(done), trace});
+      return;
+    } else if (options_.max_queue > 0 &&
+               static_cast<int64_t>(queue_.size()) >= options_.max_queue) {
       ShedCounter().Increment();
-      StampFastPath();
-      promise.set_value(Status::Overloaded("encode queue full"));
-      return future;
+      rejected = Status::Overloaded("encode queue full");
+    } else {
+      auto pending = std::make_shared<Pending>();
+      pending->key = key;
+      pending->table = input;  // the documented copy
+      pending->precision = precision;
+      pending->snapshot = snapshot;
+      pending->waiters.push_back(Waiter{std::move(done), trace});
+      inflight_[key] = pending;
+      queue_.push_back(std::move(pending));
     }
-    auto pending = std::make_shared<Pending>();
-    pending->key = key;
-    pending->table = input;  // the documented copy
-    pending->precision = precision;
-    pending->snapshot = snapshot;
-    pending->waiters.push_back(Waiter{std::move(promise), trace});
-    inflight_[key] = pending;
-    queue_.push_back(std::move(pending));
   }
-  work_cv_.notify_one();
-  return future;
+  if (rejected.ok()) {
+    work_cv_.notify_one();
+    return;
+  }
+  // Shed or shutdown: answered inline, after mu_ is released.
+  StampFastPath();
+  done(std::move(rejected));
 }
 
 int64_t BatchedEncoder::queue_depth() const {
@@ -338,7 +342,7 @@ void BatchedEncoder::DispatcherLoop() {
     // dispatch_delay_us stall lands here, which is what the reqtrace
     // tests measure), encode_start -> encode_end is inference for the
     // whole batch. Only the dispatcher writes these; waiters read them
-    // after their promise resolves.
+    // after their callback runs.
     {
       const auto now = obs::RequestContext::Clock::now();
       for (const auto& p : batch) p->dequeued = now;
@@ -396,7 +400,7 @@ void BatchedEncoder::DispatcherLoop() {
     // Detach each Pending from the coalescing map before fulfilling its
     // waiters: once inflight_ no longer holds the key, new Submits for
     // the same table hit the cache (already Put above) instead of
-    // attaching to a Pending whose promises are being consumed.
+    // attaching to a Pending whose callbacks are being run.
     std::vector<std::vector<Waiter>> waiters(static_cast<size_t>(n));
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -409,16 +413,17 @@ void BatchedEncoder::DispatcherLoop() {
     for (int64_t i = 0; i < n; ++i) {
       const Pending& p = *batch[static_cast<size_t>(i)];
       for (Waiter& waiter : waiters[static_cast<size_t>(i)]) {
-        // Copy the batch stamps into the waiter's trace BEFORE
-        // set_value: the promise/future pair is the happens-before
-        // edge that publishes them to the waiting thread.
+        // Copy the batch stamps into the waiter's trace BEFORE the
+        // callback: whatever hands the result on from there (a
+        // promise, the server's completion mutex) is the
+        // happens-before edge that publishes them.
         if (waiter.trace != nullptr) {
           waiter.trace->dequeued = p.dequeued;
           waiter.trace->encode_start = p.encode_start;
           waiter.trace->encode_end = p.encode_end;
           waiter.trace->batch_size = p.batch_size;
         }
-        waiter.promise.set_value(results[static_cast<size_t>(i)]);
+        waiter.done(results[static_cast<size_t>(i)]);
       }
     }
   }

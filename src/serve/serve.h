@@ -10,13 +10,13 @@
 // coalesced: each distinct table is encoded exactly once no matter how
 // many clients ask for it concurrently.
 //
-// The API is typed-status/async (ISSUE 6 redesign): the primitive is
-// the non-blocking Submit(), which copies the input, enqueues it, and
-// returns a std::future carrying a StatusOr — Ok with the shared
-// encoding, kOverloaded when admission control sheds the request, or
-// kCancelled when the encoder shut down first. Blocking Encode() is a
-// thin wrapper (Submit + wait). Nothing in this layer blocks without a
-// typed way out, and nothing crashes on overload or shutdown.
+// The API is typed-status/async: the primitive Submit(input, trace,
+// precision, done) copies the input and calls `done` exactly once with
+// a StatusOr — Ok with the shared encoding, kOverloaded when admission
+// control sheds the request, or kCancelled when the encoder shut down
+// first — inline for a hit, shed or cancel, else on the dispatcher.
+// The future Submit and blocking Encode() wrap it. Nothing here blocks
+// without a typed way out, and nothing crashes on overload or shutdown.
 //
 // Counters (tabrep.serve.*): requests, cache.hit, cache.miss,
 // coalesced, encoded, shed; histogram batch.size records how many
@@ -38,6 +38,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <list>
 #include <memory>
@@ -164,6 +165,12 @@ std::string EnvString(const char* name, std::string fallback);
 ///   TABREP_SERVE_MAX_QUEUE    -> max_queue
 BatchedEncoderOptions OptionsFromEnv();
 
+/// Completion callback of EncodeService::Submit. Runs exactly once,
+/// either inline in Submit (possibly under the cluster's routing lock)
+/// or on a dispatcher thread, so it must be cheap, must not block and
+/// must not call back into the service.
+using EncodeCallback = std::function<void(StatusOr<EncodedTablePtr>)>;
+
 /// What the network front-end needs from an encode backend — one
 /// BatchedEncoder or a serve::Cluster of them, interchangeably. The
 /// shard-indexed accessors let the server wire per-shard watchdog
@@ -173,10 +180,14 @@ class EncodeService {
   virtual ~EncodeService() = default;
 
   /// Non-blocking typed admission; see BatchedEncoder::Submit for the
-  /// full future/trace contract every implementation honors.
-  virtual std::future<StatusOr<EncodedTablePtr>> Submit(
+  /// full callback/trace contract every implementation honors.
+  virtual void Submit(const TokenizedTable& input, obs::RequestContext* trace,
+                      kernels::Precision precision, EncodeCallback done) = 0;
+
+  /// Future form of Submit: the future resolves when `done` would run.
+  std::future<StatusOr<EncodedTablePtr>> Submit(
       const TokenizedTable& input, obs::RequestContext* trace = nullptr,
-      kernels::Precision precision = kernels::Precision::kFloat32) = 0;
+      kernels::Precision precision = kernels::Precision::kFloat32);
 
   /// Blocking convenience wrapper: Submit + wait. The table is copied;
   /// safe to destroy `input` while the request is in flight.
@@ -209,7 +220,7 @@ class EncodeService {
 
 /// Thread-safe micro-batching facade over TableEncoderModel::Encode.
 /// Puts the model in eval mode on construction; the destructor drains
-/// every accepted request (fulfilling its future) before joining the
+/// every accepted request (running its callback) before joining the
 /// dispatcher.
 class BatchedEncoder : public EncodeService {
  public:
@@ -224,29 +235,30 @@ class BatchedEncoder : public EncodeService {
   BatchedEncoder(const BatchedEncoder&) = delete;
   BatchedEncoder& operator=(const BatchedEncoder&) = delete;
 
+  using EncodeService::Submit;
+
   /// Non-blocking admission: hashes `input`, serves cache hits
   /// immediately, coalesces onto an identical in-flight request, or
-  /// enqueues a copy for the dispatcher. COPIES the table — unlike the
-  /// pre-ISSUE-6 Encode, the caller need not keep `input` alive after
-  /// the call returns. The future resolves to:
+  /// enqueues a copy for the dispatcher. COPIES the table — the caller
+  /// need not keep `input` alive after the call returns. `done` gets:
   ///   Ok(EncodedTablePtr)  — encoded (or served from cache)
   ///   kOverloaded          — the dispatch queue was at max_queue
   ///   kCancelled           — submitted after shutdown began
+  /// A hit, a shed or a cancel calls `done` inline, after mu_ is
+  /// released; an encode calls it from the dispatcher.
   ///
   /// `trace` (optional) is the request-scoped observability context
   /// (ISSUE 7): Submit marks it submitted and fills cache_hit; the
   /// dispatcher stamps dequeued/encode_start/encode_end and batch_size
-  /// before fulfilling the promise, so by the time the future is
-  /// ready the stamps are visible to the caller (the set_value/get
-  /// pair is the synchronizing edge — the caller must not read the
-  /// trace before the future resolves, and must keep it alive until
-  /// then). Fast paths that never reach the dispatcher (cache hit,
-  /// shed, shutdown) stamp the dispatcher triple to the Submit call
-  /// time so the queue/batch/inference stages read as ~zero.
-  std::future<StatusOr<EncodedTablePtr>> Submit(
-      const TokenizedTable& input, obs::RequestContext* trace = nullptr,
-      kernels::Precision precision = kernels::Precision::kFloat32) override {
-    return SubmitSalted(input, trace, precision, 0);
+  /// before it calls `done`, so the stamps are visible to whatever
+  /// `done` synchronizes with (the caller must not read the trace
+  /// before `done` runs, and must keep it alive until then). Fast
+  /// paths that never reach the dispatcher (cache hit, shed, shutdown)
+  /// stamp the dispatcher triple to the Submit call time so the
+  /// queue/batch/inference stages read as ~zero.
+  void Submit(const TokenizedTable& input, obs::RequestContext* trace,
+              kernels::Precision precision, EncodeCallback done) override {
+    SubmitSalted(input, trace, precision, 0, std::move(done));
   }
 
   /// Submit with an extra cache-key salt. The cluster router uses this
@@ -255,9 +267,9 @@ class BatchedEncoder : public EncodeService {
   /// traffic, so stealing perturbs only *where* a table is encoded —
   /// never what any cache serves for the home key. Encoded bytes are
   /// identical either way (the key pins the snapshot version too).
-  std::future<StatusOr<EncodedTablePtr>> SubmitSalted(
-      const TokenizedTable& input, obs::RequestContext* trace,
-      kernels::Precision precision, uint64_t key_salt);
+  void SubmitSalted(const TokenizedTable& input, obs::RequestContext* trace,
+                    kernels::Precision precision, uint64_t key_salt,
+                    EncodeCallback done);
 
   const EncodeCache& cache() const { return cache_; }
   const BatchedEncoderOptions& options() const { return options_; }
@@ -291,17 +303,17 @@ class BatchedEncoder : public EncodeService {
   const obs::Heartbeat& heartbeat() const { return heartbeat_; }
 
  private:
-  /// One promise waiting on a Pending, plus the trace to stamp (null
-  /// for untraced callers) before that promise is fulfilled.
+  /// One callback waiting on a Pending, plus the trace to stamp (null
+  /// for untraced callers) before the callback runs.
   struct Waiter {
-    std::promise<StatusOr<EncodedTablePtr>> promise;
+    EncodeCallback done;
     obs::RequestContext* trace = nullptr;
   };
 
   /// One distinct in-flight table; concurrent requests for the same
   /// key share a Pending (coalescing) and each holds a waiter. The
   /// dispatcher records its stage stamps here once per batch and
-  /// copies them into every waiter's trace at fulfillment time (late
+  /// copies them into every waiter's trace before its callback (late
   /// coalescers may attach after dequeue; the copy under mu_ catches
   /// them all).
   struct Pending {

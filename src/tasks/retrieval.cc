@@ -177,7 +177,11 @@ Tensor RetrievalTask::EmbedQuery(const std::string& query) {
   model_->SetTraining(false);
   query_proj_.SetTraining(false);
   Rng rng(config_.seed + 800);
-  Tensor out = ForwardQuery(query, rng).value().Clone();
+  Tensor out;
+  {
+    ag::NoGradScope no_grad;  // inference: graph-free encode
+    out = ForwardQuery(query, rng).value().Clone();
+  }
   model_->SetTraining(true);
   query_proj_.SetTraining(true);
   return out;
@@ -187,20 +191,17 @@ Tensor RetrievalTask::EmbedTable(const Table& table) {
   model_->SetTraining(false);
   table_proj_.SetTraining(false);
   Rng rng(config_.seed + 801);
-  Tensor out = ForwardTable(table, rng).value().Clone();
+  Tensor out;
+  {
+    ag::NoGradScope no_grad;  // inference: graph-free encode
+    out = ForwardTable(table, rng).value().Clone();
+  }
   model_->SetTraining(true);
   table_proj_.SetTraining(true);
   return out;
 }
 
-RankingReport RetrievalTask::Evaluate(
-    const TableCorpus& corpus, const std::vector<RetrievalExample>& examples) {
-  // Corpus embedding is the hot loop of evaluation: every table runs a
-  // full encoder forward. Embed in parallel with the same per-call rng
-  // EmbedTable uses (eval mode never draws from it).
-  model_->SetTraining(false);
-  query_proj_.SetTraining(false);
-  table_proj_.SetTraining(false);
+std::vector<Tensor> RetrievalTask::EmbedCorpus(const TableCorpus& corpus) {
   std::vector<Tensor> table_embs(corpus.tables.size());
   runtime::ParallelFor(
       0, static_cast<int64_t>(corpus.tables.size()), 1,
@@ -214,6 +215,18 @@ RankingReport RetrievalTask::Evaluate(
                   .Clone();
         }
       });
+  return table_embs;
+}
+
+RankingReport RetrievalTask::Evaluate(
+    const TableCorpus& corpus, const std::vector<RetrievalExample>& examples) {
+  // Corpus embedding is the hot loop of evaluation: every table runs a
+  // full encoder forward. Embed in parallel with the same per-call rng
+  // EmbedTable uses (eval mode never draws from it).
+  model_->SetTraining(false);
+  query_proj_.SetTraining(false);
+  table_proj_.SetTraining(false);
+  std::vector<Tensor> table_embs = EmbedCorpus(corpus);
   std::vector<Tensor> query_embs(examples.size());
   runtime::ParallelFor(
       0, static_cast<int64_t>(examples.size()), 1,
@@ -263,29 +276,22 @@ std::vector<int64_t> RetrievalTask::TopK(const std::string& query,
   Tensor q = EmbedQuery(query);
   model_->SetTraining(false);
   table_proj_.SetTraining(false);
-  std::vector<Tensor> table_embs(corpus.tables.size());
-  runtime::ParallelFor(
-      0, static_cast<int64_t>(corpus.tables.size()), 1,
-      [&](int64_t lo, int64_t hi) {
-        ag::NoGradScope no_grad;  // eval: graph-free encode
-        for (int64_t i = lo; i < hi; ++i) {
-          Rng rng(config_.seed + 801);
-          table_embs[static_cast<size_t>(i)] =
-              ForwardTable(corpus.tables[static_cast<size_t>(i)], rng)
-                  .value()
-                  .Clone();
-        }
-      });
+  std::vector<Tensor> table_embs = EmbedCorpus(corpus);
   model_->SetTraining(true);
   table_proj_.SetTraining(true);
   std::vector<std::pair<float, int64_t>> scored;
-  for (size_t i = 0; i < corpus.tables.size(); ++i) {
+  scored.reserve(table_embs.size());
+  for (size_t i = 0; i < table_embs.size(); ++i) {
     scored.emplace_back(ops::Dot(q, table_embs[i]), static_cast<int64_t>(i));
   }
-  std::sort(scored.begin(), scored.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
+  const int64_t n =
+      std::clamp<int64_t>(k, 0, static_cast<int64_t>(scored.size()));
+  std::partial_sort(
+      scored.begin(), scored.begin() + n, scored.end(),
+      [](const auto& a, const auto& b) { return a.first > b.first; });
   std::vector<int64_t> out;
-  for (int64_t i = 0; i < k && i < static_cast<int64_t>(scored.size()); ++i) {
+  out.reserve(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
     out.push_back(scored[static_cast<size_t>(i)].second);
   }
   return out;

@@ -59,6 +59,10 @@ class RetrievalTask {
 
   ag::Variable ForwardQuery(const std::string& query, Rng& rng);
   ag::Variable ForwardTable(const Table& table, Rng& rng);
+  /// Embeds every corpus table in parallel and graph-free, with the
+  /// rng EmbedTable uses. The caller puts the model and the table head
+  /// in eval mode.
+  std::vector<Tensor> EmbedCorpus(const TableCorpus& corpus);
 
   TableEncoderModel* model_;
   const TableSerializer* serializer_;

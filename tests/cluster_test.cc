@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <deque>
 #include <future>
 #include <thread>
 #include <vector>
@@ -332,6 +334,71 @@ TEST_F(ClusterFixture, ReloadUnderLoadNeverTearsOrDrops) {
     EXPECT_TRUE(BitwiseEqual((*out)->hidden, reference[i]))
         << "torn response under version " << version;
   }
+  publisher.join();
+  EXPECT_EQ(cluster.weights_version(), 1u + kPublishes);
+}
+
+TEST_F(ClusterFixture, VersionsNeverDecreaseInSubmissionOrder) {
+  // A publish swaps every shard's snapshot atomically with respect to
+  // routing: requests submitted one after another, alternating between
+  // the two shards, see non-decreasing weights versions even while
+  // publishes land between them.
+  ModelConfig config = TinyConfig();
+  TableEncoderModel model(config);
+  model.SetTraining(false);
+  std::vector<TokenizedTable> inputs = Inputs(24);
+
+  serve::ClusterOptions copts;
+  copts.shards = 2;
+  serve::Cluster cluster(&model, copts);
+  const TokenizedTable* on_shard[2] = {nullptr, nullptr};
+  for (const TokenizedTable& in : inputs) {
+    on_shard[cluster.HomeShard(in)] = &in;
+  }
+  ASSERT_NE(on_shard[0], nullptr);
+  ASSERT_NE(on_shard[1], nullptr);
+
+  const TensorMap checkpoint = model.ExportStateDict();
+  constexpr int kPublishes = 200;
+  std::atomic<bool> publishing{true};
+  std::thread publisher([&] {
+    for (int p = 0; p < kPublishes; ++p) {
+      StatusOr<uint64_t> v = cluster.PublishWeights(checkpoint);
+      EXPECT_TRUE(v.ok()) << v.status().ToString();
+    }
+    publishing.store(false);
+  });
+
+  // Submission never waits on an encode (that would leave the swaps
+  // unobserved); answers are checked in order as they resolve, and the
+  // backlog is capped so memory stays flat.
+  uint64_t last_version = 0;
+  size_t checked = 0;
+  bool in_order = true;
+  std::deque<std::future<StatusOr<serve::EncodedTablePtr>>> backlog;
+  const auto check_front = [&] {
+    StatusOr<serve::EncodedTablePtr> out = backlog.front().get();
+    backlog.pop_front();
+    const uint64_t version = out.ok() ? (*out)->weights_version : 0;
+    if (in_order && version < last_version) {
+      in_order = false;
+      ADD_FAILURE() << "request " << checked << " echoed version " << version
+                    << " after version " << last_version << " ("
+                    << (out.ok() ? "ok" : out.status().ToString()) << ")";
+    }
+    last_version = std::max(last_version, version);
+    ++checked;
+  };
+  for (size_t r = 0; publishing.load(); ++r) {
+    backlog.push_back(cluster.Submit(*on_shard[r % 2]));
+    while (!backlog.empty() &&
+           (backlog.size() > 4096 ||
+            backlog.front().wait_for(std::chrono::seconds(0)) ==
+                std::future_status::ready)) {
+      check_front();
+    }
+  }
+  while (!backlog.empty()) check_front();
   publisher.join();
   EXPECT_EQ(cluster.weights_version(), 1u + kPublishes);
 }

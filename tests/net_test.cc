@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <future>
@@ -524,11 +525,18 @@ TEST_F(NetFixture, PipelinedRequestsComeBackInOrder) {
                                                       server.port());
   ASSERT_TRUE(client.ok());
 
-  const uint32_t n = 6;
-  for (uint32_t seq = 1; seq <= n; ++seq) {
+  // Warm one table so the last pipelined request is a cache hit: it
+  // resolves inline at Submit, ahead of the misses queued before it,
+  // and must still wait its turn on the wire.
+  const TokenizedTable warm = serializer_->Serialize(corpus_->tables[0]);
+  ASSERT_TRUE(client->Encode(warm).ok());
+
+  const uint32_t n = 7;
+  for (uint32_t seq = 1; seq < n; ++seq) {
     TokenizedTable t = serializer_->Serialize(corpus_->tables[seq % 8]);
     ASSERT_TRUE(client->SendEncodeRequest(t, seq).ok());
   }
+  ASSERT_TRUE(client->SendEncodeRequest(warm, n).ok());
   for (uint32_t seq = 1; seq <= n; ++seq) {
     StatusOr<net::EncodeResult> out = client->ReadResponse();
     ASSERT_TRUE(out.ok()) << out.status().ToString();
@@ -942,6 +950,79 @@ TEST_F(NetFixture, PipelinedStatsOvertakesSlowEncodes) {
     EXPECT_EQ(out->seq, seq);  // encode-vs-encode FIFO is preserved
     EXPECT_TRUE(out->status.ok()) << out->status.ToString();
   }
+}
+
+TEST_F(NetFixture, CacheHitOvertakesAnotherConnectionsSlowEncode) {
+  // Completions go straight to the event loop per request: connection
+  // B's cache hit must not wait behind connection A's miss, which the
+  // dispatcher holds for 300ms.
+  serve::BatchedEncoderOptions eopts;
+  eopts.max_batch = 1;
+  eopts.max_wait_us = 0;
+  eopts.dispatch_delay_us = 300000;
+  serve::BatchedEncoder encoder(model_, eopts);
+  net::Server server(&encoder);
+  ASSERT_TRUE(server.Start().ok());
+  StatusOr<net::Client> a = net::Client::Connect("127.0.0.1", server.port());
+  StatusOr<net::Client> b = net::Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+
+  const TokenizedTable hit = serializer_->Serialize(corpus_->tables[2]);
+  const TokenizedTable miss = serializer_->Serialize(corpus_->tables[5]);
+  ASSERT_TRUE(b->Encode(hit).ok());  // warm B's table (one slow encode)
+
+  ASSERT_TRUE(a->SendEncodeRequest(miss, 1).ok());
+  // A stats response on A proves the event loop has already submitted
+  // A's encode: frames of one connection are handled in order.
+  ASSERT_TRUE(a->SendStatsRequest(2).ok());
+  StatusOr<net::Frame> stats = a->ReadAnyFrame();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  ASSERT_EQ(stats->type, net::MessageType::kStatsResponse);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  StatusOr<net::EncodeResult> fast = b->Encode(hit);
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  ASSERT_TRUE(fast.ok()) << fast.status().ToString();
+  EXPECT_TRUE(fast->status.ok()) << fast->status.ToString();
+  EXPECT_LT(waited, std::chrono::milliseconds(100))
+      << "cache hit waited behind another connection's encode";
+
+  StatusOr<net::EncodeResult> slow = a->ReadResponse();
+  ASSERT_TRUE(slow.ok()) << slow.status().ToString();
+  EXPECT_EQ(slow->seq, 1u);
+  EXPECT_TRUE(slow->status.ok()) << slow->status.ToString();
+}
+
+TEST_F(NetFixture, StopWithEncodeInFlightIsClean) {
+  // Destroying the server while the dispatcher is still inside a slow
+  // encode: Stop must wait for that request's callback (which writes
+  // the server's eventfd and owns its trace) before tearing down.
+  serve::BatchedEncoderOptions eopts;
+  eopts.max_batch = 1;
+  eopts.max_wait_us = 0;
+  eopts.cache_capacity = 0;
+  eopts.dispatch_delay_us = 200000;
+  serve::BatchedEncoder encoder(model_, eopts);
+  auto server = std::make_unique<net::Server>(&encoder);
+  ASSERT_TRUE(server->Start().ok());
+  StatusOr<net::Client> client = net::Client::Connect("127.0.0.1",
+                                                      server->port());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client
+                  ->SendEncodeRequest(
+                      serializer_->Serialize(corpus_->tables[4]), 1)
+                  .ok());
+  ASSERT_TRUE(client->SendStatsRequest(2).ok());
+  StatusOr<net::Frame> stats = client->ReadAnyFrame();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  ASSERT_EQ(stats->type, net::MessageType::kStatsResponse);
+
+  server.reset();  // the encode is still in the dispatcher's delay
+  // The response is never written: the client sees the close.
+  EXPECT_FALSE(client->ReadResponse().ok());
+  // The encoder outlives the server and keeps serving direct callers.
+  EXPECT_TRUE(encoder.Encode(serializer_->Serialize(corpus_->tables[4])).ok());
 }
 
 TEST_F(NetFixture, StopWhileClientsConnectedIsClean) {
