@@ -209,13 +209,16 @@ int main() {
     for (int64_t r = 0; r < skew_rounds; ++r) {
       TABREP_CHECK(RunRound(cluster, hot)) << "skew round failed";
     }
-    const double routed = static_cast<double>(cluster.routed_count());
+    // routed_count() counts home-routed requests only; a stolen request
+    // is counted by steal_count() instead.
     const double stolen = static_cast<double>(cluster.steal_count());
-    const double steal_rate = routed > 0.0 ? stolen / routed : 0.0;
+    const double total =
+        static_cast<double>(cluster.routed_count()) + stolen;
+    const double steal_rate = total > 0.0 ? stolen / total : 0.0;
     std::printf("\nStealing (all keys homed on shard 0, threshold %lld): "
                 "%s of %s requests stolen (%s%%)\n",
                 static_cast<long long>(copts.steal_threshold),
-                Fmt(stolen, 0).c_str(), Fmt(routed, 0).c_str(),
+                Fmt(stolen, 0).c_str(), Fmt(total, 0).c_str(),
                 Fmt(steal_rate * 100.0, 1).c_str());
     reg.gauge("tabrep.bench.s3.steal_rate").Set(steal_rate);
     TABREP_CHECK(cluster.steal_count() > 0)
