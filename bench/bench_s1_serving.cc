@@ -6,7 +6,7 @@
 //       between the two — the inference path must be an optimization,
 //       never an approximation;
 //   (b) cold serving: concurrent clients push distinct tables through
-//       a BatchedEncoder (every request misses the cache) — reports
+//       a one-shard serve::Cluster (every request misses the cache) — reports
 //       throughput (tables/sec) and per-request p95 latency;
 //   (c) warm serving: the same requests again, now served from the
 //       LRU cache.
@@ -23,7 +23,7 @@
 
 #include "bench_util.h"
 #include "obs/metrics.h"
-#include "serve/serve.h"
+#include "serve/cluster.h"
 #include "tensor/arena.h"
 
 using namespace tabrep;
@@ -128,12 +128,12 @@ int main() {
       obs::Registry::Get().histogram("tabrep.serve.bench.request.warm.us");
   const int64_t num_clients = 4;
 
-  serve::BatchedEncoderOptions sopts;
-  sopts.max_batch = 8;
-  sopts.max_wait_us = 200;
-  sopts.cache_capacity = 1024;  // no eviction in this bench
-  sopts.need_cells = false;
-  serve::BatchedEncoder encoder(&model, sopts);
+  serve::ClusterOptions copts;
+  copts.encoder.max_batch = 8;
+  copts.encoder.max_wait_us = 200;
+  copts.encoder.cache_capacity = 1024;  // no eviction in this bench
+  copts.encoder.need_cells = false;
+  serve::Cluster cluster(&model, copts);
 
   auto run_clients = [&](int64_t rounds, obs::Histogram& hist) {
     std::vector<std::thread> clients;
@@ -146,7 +146,7 @@ int main() {
           for (int64_t i = c; i < num_inputs; i += num_clients) {
             obs::ScopedTimer timer(hist);
             StatusOr<serve::EncodedTablePtr> out =
-                encoder.Encode(inputs[static_cast<size_t>(i)]);
+                cluster.Encode(inputs[static_cast<size_t>(i)]);
             TABREP_CHECK(out.ok()) << out.status().ToString();
             TABREP_CHECK(*out != nullptr && (*out)->hidden.numel() > 0);
           }
@@ -171,7 +171,7 @@ int main() {
   obs::Registry& reg = obs::Registry::Get();
   std::printf("\nServing (%lld clients, max_batch %lld):\n",
               static_cast<long long>(num_clients),
-              static_cast<long long>(sopts.max_batch));
+              static_cast<long long>(copts.encoder.max_batch));
   std::printf("  cold: %lld tables in %s s  (%s tables/sec)  p95 %s us\n",
               static_cast<long long>(num_inputs), Fmt(cold_sec).c_str(),
               Fmt(cold_sec > 0.0 ? num_inputs / cold_sec : 0.0, 1).c_str(),

@@ -3,7 +3,7 @@
 // Three phases over one TaBERT-family model behind an in-process
 // net::Server on an ephemeral loopback port:
 //   (a) wire parity: every table encoded through a real socket must be
-//       bitwise identical to a direct BatchedEncoder::Encode — the
+//       bitwise identical to a direct serve::Cluster::Encode — the
 //       network layer is transport, never a transform;
 //   (b) sustained load: closed-loop concurrent connections, reporting
 //       throughput (requests/sec) and client-observed p95/p99 latency
@@ -52,7 +52,7 @@
 #include "net/server.h"
 #include "obs/metrics.h"
 #include "obs/window.h"
-#include "serve/serve.h"
+#include "serve/cluster.h"
 
 using namespace tabrep;
 using namespace tabrep::bench;
@@ -87,10 +87,10 @@ int main() {
 
   // --- (a) Wire parity: socket result == direct result, bitwise. --------
   {
-    serve::BatchedEncoderOptions eopts;
-    eopts.cache_capacity = 1024;
-    serve::BatchedEncoder encoder(&model, eopts);
-    net::Server server(&encoder);
+    serve::ClusterOptions copts;
+    copts.encoder.cache_capacity = 1024;
+    serve::Cluster cluster(&model, copts);
+    net::Server server(&cluster);
     TABREP_CHECK(server.Start().ok());
     StatusOr<net::Client> client =
         net::Client::Connect("127.0.0.1", server.port());
@@ -99,7 +99,7 @@ int main() {
     const int64_t parity_n = std::min<int64_t>(num_inputs, 8);
     for (int64_t i = 0; i < parity_n; ++i) {
       StatusOr<serve::EncodedTablePtr> direct =
-          encoder.Encode(inputs[static_cast<size_t>(i)]);
+          cluster.Encode(inputs[static_cast<size_t>(i)]);
       TABREP_CHECK(direct.ok()) << direct.status().ToString();
       StatusOr<net::EncodeResult> wired =
           client->Encode(inputs[static_cast<size_t>(i)]);
@@ -127,12 +127,13 @@ int main() {
   window_opts.window_secs = 512;
   obs::WindowedRegistry window(window_opts);
   {
-    serve::BatchedEncoderOptions eopts;
-    eopts.max_batch = 8;
-    eopts.max_wait_us = 200;
-    eopts.cache_capacity = 0;  // every request does real encode work
-    serve::BatchedEncoder encoder(&model, eopts);
-    net::Server server(&encoder);
+    serve::ClusterOptions copts;
+    copts.encoder.max_batch = 8;
+    copts.encoder.max_wait_us = 200;
+    // Every request does real encode work.
+    copts.encoder.cache_capacity = 0;
+    serve::Cluster cluster(&model, copts);
+    net::Server server(&cluster);
     TABREP_CHECK(server.Start().ok());
 
     std::atomic<bool> ticker_stop{false};
@@ -229,15 +230,16 @@ int main() {
   int64_t shed_ok = 0, shed_overloaded = 0, shed_other = 0;
   const int64_t burst = std::min<int64_t>(num_inputs, 24);
   {
-    serve::BatchedEncoderOptions eopts;
-    eopts.max_batch = 1;
-    eopts.max_wait_us = 0;
-    eopts.cache_capacity = 0;          // distinct tables, no coalescing
-    eopts.dispatch_delay_us = 50000;   // hold the dispatcher: 50ms/batch
-    serve::BatchedEncoder encoder(&model, eopts);
+    serve::ClusterOptions copts;
+    copts.encoder.max_batch = 1;
+    copts.encoder.max_wait_us = 0;
+    copts.encoder.cache_capacity = 0;  // distinct tables, no coalescing
+    // Hold the dispatcher: 50ms/batch.
+    copts.encoder.dispatch_delay_us = 50000;
+    serve::Cluster cluster(&model, copts);
     net::ServerOptions sopts;
     sopts.max_inflight_per_conn = 2;   // tight admission bound
-    net::Server server(&encoder, sopts);
+    net::Server server(&cluster, sopts);
     TABREP_CHECK(server.Start().ok());
     StatusOr<net::Client> client =
         net::Client::Connect("127.0.0.1", server.port());

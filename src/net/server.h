@@ -3,15 +3,15 @@
 
 // tabrep::net — the TCP serving front-end (ISSUE 6 tentpole). A
 // Server listens on one port, speaks the versioned frame protocol
-// (net/wire.h), and bridges encode requests onto a serve::
-// EncodeService through its non-blocking callback Submit().
+// (net/wire.h), and bridges encode requests onto a serve::Cluster
+// through its non-blocking callback Submit().
 //
 // Threading boundary (see DESIGN.md "Network serving"): one event-loop
 // thread — epoll (edge-triggered) over the listen socket, a wake
 // eventfd, and every connection — owns all socket reads/writes, frame
 // reassembly, admission control, and response serialization, and never
-// blocks on inference. An encode's completion callback (run by the
-// encoder's dispatcher, or inline for a hit, shed or cancel) pushes its
+// blocks on inference. An encode's completion callback (run by a
+// shard's dispatcher, or inline for a hit, shed or cancel) pushes its
 // result onto a ready queue and writes the eventfd; the loop flushes
 // each connection's ready prefix of response slots, so responses keep
 // request order within a connection and nothing waits across
@@ -23,8 +23,8 @@
 //     yet-answered across all connections;
 //   - per-connection bound: at most max_inflight_per_conn outstanding
 //     requests per connection;
-//   - the BatchedEncoder's own max_queue, whose kOverloaded result
-//     becomes the same wire status.
+//   - each shard's own max_queue (ClusterOptions::encoder), whose
+//     kOverloaded result becomes the same wire status.
 //
 // Counters (tabrep.net.*): connections.accepted, connections.closed,
 // frames.in, responses.out, bytes.in, bytes.out, requests, shed,
@@ -56,7 +56,7 @@
 #include "obs/reqtrace.h"
 #include "obs/watchdog.h"
 #include "obs/window.h"
-#include "serve/serve.h"
+#include "serve/cluster.h"
 
 namespace tabrep::net {
 
@@ -79,8 +79,8 @@ struct ServerOptions {
   std::string access_log_path;
 
   /// Cluster topology knobs (ISSUE 10). The Server itself serves
-  /// whatever EncodeService it was handed; these exist so the binary
-  /// that builds the backend (tools/serve_net) and ServerOptions::
+  /// whatever Cluster it was handed; these exist so the binary that
+  /// builds the cluster (tools/serve_net) and ServerOptions::
   /// FromEnv share one resolved source of truth for the shard count
   /// and steal threshold (TABREP_SHARDS / TABREP_STEAL_THRESHOLD —
   /// the same variables serve::ClusterOptionsFromEnv reads).
@@ -116,15 +116,12 @@ struct ServerOptions {
 /// binds/listens and spins up the event-loop thread; Stop()
 /// (idempotent, also run by the destructor) closes every connection,
 /// joins the loop and waits for every outstanding encode callback.
-/// The encoder must outlive the Server.
-///
-/// The backend is any serve::EncodeService — a single BatchedEncoder
-/// or a serve::Cluster of N shards. The server is topology-agnostic:
-/// it submits through the interface and reads the shard layout only to
-/// wire watchdog heartbeats/probes and the kStats "cluster" section.
+/// The cluster must outlive the Server. The server reads the cluster's
+/// shard layout only to wire watchdog heartbeats/probes and the kStats
+/// "cluster" section.
 class Server {
  public:
-  explicit Server(serve::EncodeService* encoder, ServerOptions options = {});
+  explicit Server(serve::Cluster* cluster, ServerOptions options = {});
   ~Server();
 
   Server(const Server&) = delete;
@@ -134,7 +131,7 @@ class Server {
   /// when the socket setup fails.
   Status Start();
 
-  /// Drains nothing: outstanding encodes complete inside the encoder
+  /// Drains nothing: outstanding encodes complete inside the cluster
   /// (Stop waits for their callbacks), but their responses are not
   /// written once the loop exits. Safe to call twice.
   void Stop();
@@ -203,7 +200,7 @@ class Server {
   /// Stage histograms (OK requests only) + access log (all requests).
   void FinishRequest(obs::RequestContext& trace);
 
-  serve::EncodeService* encoder_;
+  serve::Cluster* cluster_;
   ServerOptions options_;
   uint16_t port_ = 0;
 

@@ -58,28 +58,17 @@ Cluster::Cluster(models::TableEncoderModel* prototype, ClusterOptions options)
     : options_(options) {
   TABREP_CHECK(prototype != nullptr) << "Cluster needs a prototype model";
   config_ = prototype->config();
+  prototype->SetTraining(false);  // serving is inference-only
+  auto snapshot = std::make_shared<WeightsSnapshot>();
+  // Non-owning: the caller manages the prototype's lifetime.
+  snapshot->model =
+      std::shared_ptr<models::TableEncoderModel>(prototype, [](auto*) {});
+  snapshot_ = std::move(snapshot);
   const int64_t n = std::max<int64_t>(1, options_.shards);
   options_.shards = n;
   shards_.reserve(static_cast<size_t>(n));
-  // Shard 0 borrows the prototype; clones replicate its full state
-  // dict, which carries the weights AND the int8 calibration scales.
-  shards_.push_back(
-      std::make_unique<BatchedEncoder>(BorrowSnapshot(prototype),
-                                       options_.encoder));
-  TensorMap state;
-  if (n > 1) state = prototype->ExportStateDict();
-  for (int64_t i = 1; i < n; ++i) {
-    auto model = models::CreateModel(config_);
-    const Status imported = model->ImportStateDict(state);
-    TABREP_CHECK(imported.ok())
-        << "replica clone rejected the prototype's own state dict: "
-        << imported.ToString();
-    auto snapshot = std::make_shared<WeightsSnapshot>();
-    snapshot->model = std::shared_ptr<models::TableEncoderModel>(
-        std::move(model));
-    snapshot->version = 1;
-    shards_.push_back(std::make_unique<BatchedEncoder>(std::move(snapshot),
-                                                       options_.encoder));
+  for (int64_t i = 0; i < n; ++i) {
+    shards_.push_back(std::make_unique<BatchedEncoder>(options_.encoder));
   }
   VersionGauge().Set(1.0);
 }
@@ -91,9 +80,10 @@ int64_t Cluster::HomeShard(const TokenizedTable& input) const {
 
 void Cluster::Submit(const TokenizedTable& input, obs::RequestContext* trace,
                      kernels::Precision precision, EncodeCallback done) {
+  const uint64_t hash = HashTokenizedTable(input);
   std::shared_lock<std::shared_mutex> lock(route_mu_);
   const size_t n = shards_.size();
-  const size_t home = static_cast<size_t>(HomeShard(input));
+  const size_t home = static_cast<size_t>(hash % n);
   if (n > 1 && options_.steal_threshold > 0 &&
       shards_[home]->queue_depth() >= options_.steal_threshold) {
     // Home is saturated: redirect to the shallowest shard. The depths
@@ -112,47 +102,51 @@ void Cluster::Submit(const TokenizedTable& input, obs::RequestContext* trace,
     if (victim != home) {
       StealCounter().Increment();
       steals_.fetch_add(1, std::memory_order_relaxed);
-      shards_[victim]->SubmitSalted(input, trace, precision, kStealSalt,
-                                    std::move(done));
+      shards_[victim]->Submit(input, hash, kStealSalt, snapshot_, trace,
+                              precision, std::move(done));
       return;
     }
   }
   RoutedCounter().Increment();
   routed_.fetch_add(1, std::memory_order_relaxed);
-  shards_[home]->Submit(input, trace, precision, std::move(done));
+  shards_[home]->Submit(input, hash, 0, snapshot_, trace, precision,
+                        std::move(done));
+}
+
+std::future<StatusOr<EncodedTablePtr>> Cluster::Submit(
+    const TokenizedTable& input, obs::RequestContext* trace,
+    kernels::Precision precision) {
+  // Shared because std::function needs a copyable callable.
+  auto promise = std::make_shared<std::promise<StatusOr<EncodedTablePtr>>>();
+  std::future<StatusOr<EncodedTablePtr>> future = promise->get_future();
+  Submit(input, trace, precision, [promise](StatusOr<EncodedTablePtr> result) {
+    promise->set_value(std::move(result));
+  });
+  return future;
 }
 
 StatusOr<uint64_t> Cluster::PublishWeights(const TensorMap& checkpoint) {
   std::lock_guard<std::mutex> lock(publish_mu_);
   const auto t0 = std::chrono::steady_clock::now();
-  const uint64_t next = version_.load(std::memory_order_relaxed) + 1;
+  const uint64_t next = weights_version() + 1;
 
-  // Build every replica's model before touching any shard: an import
-  // error (shape mismatch, missing tensor) must leave the cluster
-  // serving the old generation on all shards, not a mix.
-  std::vector<WeightsSnapshotPtr> snapshots;
-  snapshots.reserve(shards_.size());
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    auto model = models::CreateModel(config_);
-    TABREP_RETURN_IF_ERROR(model->ImportStateDict(checkpoint));
-    model->SetTraining(false);
-    auto snapshot = std::make_shared<WeightsSnapshot>();
-    snapshot->model = std::shared_ptr<models::TableEncoderModel>(
-        std::move(model));
-    snapshot->version = next;
-    snapshots.push_back(std::move(snapshot));
-  }
+  // Build the new model before touching the snapshot: an import error
+  // (shape mismatch, missing tensor) must leave the cluster serving the
+  // old generation.
+  auto model = models::CreateModel(config_);
+  TABREP_RETURN_IF_ERROR(model->ImportStateDict(checkpoint));
+  model->SetTraining(false);
+  auto snapshot = std::make_shared<WeightsSnapshot>();
+  snapshot->model = std::shared_ptr<models::TableEncoderModel>(std::move(model));
+  snapshot->version = next;
 
-  // Swap every replica under the exclusive routing lock: no Submit
-  // can route between two SetSnapshot calls, so no client sees shard A
-  // on V+1 and then shard B still on V. Requests in flight keep the
-  // snapshot they captured.
+  // Swap under the exclusive routing lock: every Submit after the swap
+  // captures the new snapshot, so requests submitted one after another
+  // see non-decreasing versions. Requests in flight keep the snapshot
+  // they captured; the old model dies with the last of them.
   {
     std::unique_lock<std::shared_mutex> lock(route_mu_);
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      shards_[i]->SetSnapshot(snapshots[i]);
-    }
-    version_.store(next, std::memory_order_release);
+    snapshot_ = std::move(snapshot);
   }
 
   const double elapsed_us =
@@ -165,18 +159,15 @@ StatusOr<uint64_t> Cluster::PublishWeights(const TensorMap& checkpoint) {
   return next;
 }
 
+uint64_t Cluster::weights_version() const {
+  std::shared_lock<std::shared_mutex> lock(route_mu_);
+  return snapshot_->version;
+}
+
 int64_t Cluster::queue_depth() const {
   int64_t total = 0;
   for (const auto& shard : shards_) total += shard->queue_depth();
   return total;
-}
-
-int64_t Cluster::shard_queue_depth(int64_t shard) const {
-  return shards_[static_cast<size_t>(shard)]->queue_depth();
-}
-
-const obs::Heartbeat& Cluster::shard_heartbeat(int64_t shard) const {
-  return shards_[static_cast<size_t>(shard)]->heartbeat();
 }
 
 std::string Cluster::TopologyJson() const {

@@ -14,17 +14,10 @@ namespace tabrep::serve {
 
 namespace {
 
-constexpr int64_t kDefaultCacheCapacity = 256;
-
 inline void HashMix(uint64_t& h, uint64_t v) {
   // FNV-1a over the value's bytes, 8 at a time.
   h ^= v;
   h *= 0x100000001b3ull;
-}
-
-int64_t ResolveCacheCapacity(int64_t requested) {
-  if (requested >= 0) return requested;
-  return EnvInt64("TABREP_ENCODE_CACHE", kDefaultCacheCapacity);
 }
 
 obs::Counter& RequestsCounter() {
@@ -78,8 +71,8 @@ BatchedEncoderOptions OptionsFromEnv() {
   options.max_batch = EnvInt64("TABREP_SERVE_MAX_BATCH", options.max_batch);
   options.max_wait_us =
       EnvInt64("TABREP_SERVE_MAX_WAIT_US", options.max_wait_us);
-  options.cache_capacity = EnvInt64("TABREP_ENCODE_CACHE",
-                                    kDefaultCacheCapacity);
+  options.cache_capacity =
+      EnvInt64("TABREP_ENCODE_CACHE", options.cache_capacity);
   options.max_queue = EnvInt64("TABREP_SERVE_MAX_QUEUE", options.max_queue);
   return options;
 }
@@ -143,66 +136,12 @@ std::size_t EncodeCache::size() const {
   return lru_.size();
 }
 
-std::future<StatusOr<EncodedTablePtr>> EncodeService::Submit(
-    const TokenizedTable& input, obs::RequestContext* trace,
-    kernels::Precision precision) {
-  // Shared because std::function needs a copyable callable.
-  auto promise = std::make_shared<std::promise<StatusOr<EncodedTablePtr>>>();
-  std::future<StatusOr<EncodedTablePtr>> future = promise->get_future();
-  Submit(input, trace, precision, [promise](StatusOr<EncodedTablePtr> result) {
-    promise->set_value(std::move(result));
-  });
-  return future;
-}
-
-WeightsSnapshotPtr BorrowSnapshot(models::TableEncoderModel* model) {
-  TABREP_CHECK(model != nullptr) << "BorrowSnapshot needs a model";
-  auto snapshot = std::make_shared<WeightsSnapshot>();
-  // Non-owning: the caller manages the model's lifetime (the legacy
-  // raw-pointer contract every pre-cluster call site relies on).
-  snapshot->model =
-      std::shared_ptr<models::TableEncoderModel>(model, [](auto*) {});
-  snapshot->version = 1;
-  return snapshot;
-}
-
-BatchedEncoder::BatchedEncoder(models::TableEncoderModel* model,
-                               BatchedEncoderOptions options)
-    : BatchedEncoder(BorrowSnapshot(model), options) {}
-
-BatchedEncoder::BatchedEncoder(WeightsSnapshotPtr snapshot,
-                               BatchedEncoderOptions options)
-    : snapshot_(std::move(snapshot)),
-      options_(options),
+BatchedEncoder::BatchedEncoder(BatchedEncoderOptions options)
+    : options_(options),
       cache_(static_cast<std::size_t>(
-          std::max<int64_t>(0, ResolveCacheCapacity(options.cache_capacity)))) {
-  const WeightsSnapshotPtr& current = snapshot_;
-  TABREP_CHECK(current != nullptr && current->model != nullptr)
-      << "BatchedEncoder needs a weights snapshot";
+          std::max<int64_t>(0, options.cache_capacity))) {
   TABREP_CHECK(options_.max_batch >= 1) << "max_batch must be >= 1";
-  current->model->SetTraining(false);  // serving is inference-only
   dispatcher_ = std::thread([this] { DispatcherLoop(); });
-}
-
-void BatchedEncoder::SetSnapshot(WeightsSnapshotPtr snapshot) {
-  TABREP_CHECK(snapshot != nullptr && snapshot->model != nullptr)
-      << "SetSnapshot needs a weights snapshot";
-  snapshot->model->SetTraining(false);
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  snapshot_ = std::move(snapshot);
-}
-
-uint64_t BatchedEncoder::weights_version() const {
-  return CurrentSnapshot()->version;
-}
-
-std::string BatchedEncoder::TopologyJson() const {
-  std::string out = "{\"shards\":1,\"weights_version\":";
-  out += std::to_string(weights_version());
-  out += ",\"shard_depth\":[";
-  out += std::to_string(queue_depth());
-  out += "]}";
-  return out;
 }
 
 BatchedEncoder::~BatchedEncoder() {
@@ -214,10 +153,12 @@ BatchedEncoder::~BatchedEncoder() {
   dispatcher_.join();
 }
 
-void BatchedEncoder::SubmitSalted(const TokenizedTable& input,
-                                  obs::RequestContext* trace,
-                                  kernels::Precision precision,
-                                  uint64_t key_salt, EncodeCallback done) {
+void BatchedEncoder::Submit(const TokenizedTable& input, uint64_t table_hash,
+                            uint64_t key_salt,
+                            const WeightsSnapshotPtr& snapshot,
+                            obs::RequestContext* trace,
+                            kernels::Precision precision,
+                            EncodeCallback done) {
   RequestsCounter().Increment();
   if (trace != nullptr) trace->submitted = true;
   // Fast paths resolve here without ever touching the dispatcher;
@@ -230,12 +171,11 @@ void BatchedEncoder::SubmitSalted(const TokenizedTable& input,
     trace->encode_start = now;
     trace->encode_end = now;
   };
-  // The weights generation this request will encode under, captured
-  // exactly once: everything downstream — cache key, coalescing
-  // partner, the model the dispatcher runs — derives from it, so a
-  // SetSnapshot racing this call flips the whole request to one side
-  // or the other, never a torn mix.
-  const WeightsSnapshotPtr snapshot = CurrentSnapshot();
+  // Everything downstream — cache key, coalescing partner, the model
+  // the dispatcher runs — derives from the one snapshot the cluster
+  // captured for this request, so a publish racing it flips the whole
+  // request to one side or the other, never a torn mix.
+  //
   // f32 requests keep the bare table hash (the key committed baselines
   // and older callers observe); int8 salts it so the two precisions
   // cache and coalesce independently. The snapshot version is mixed in
@@ -243,8 +183,8 @@ void BatchedEncoder::SubmitSalted(const TokenizedTable& input,
   // (and any test pinning them) stable: after a reload the old
   // generation's cache entries become unreachable — stale weights are
   // never served, without an eager cache flush. A router steal salt
-  // (see SubmitSalted's contract) partitions the keyspace further.
-  uint64_t key = HashTokenizedTable(input);
+  // (see Submit's contract) partitions the keyspace further.
+  uint64_t key = table_hash;
   if (precision == kernels::Precision::kInt8) {
     HashMix(key, 0x38746e69ull);  // "int8"
   }
@@ -372,9 +312,9 @@ void BatchedEncoder::DispatcherLoop() {
         opts.need_cells = options_.need_cells;
         opts.inference = true;
         opts.precision = p.precision;
-        // The snapshot captured at Submit time, not snapshot_: a
-        // publish that landed while this request was queued must not
-        // retroactively change what it encodes with.
+        // The snapshot captured at Submit time: a publish that landed
+        // while this request was queued must not retroactively change
+        // what it encodes with.
         models::Encoded enc = p.snapshot->model->Encode(p.table, rng, opts);
         auto result = std::make_shared<EncodedTable>();
         result->precision = p.precision;

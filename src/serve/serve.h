@@ -2,44 +2,39 @@
 #define TABREP_SERVE_SERVE_H_
 
 // tabrep::serve — the encode-serving layer (ROADMAP north star:
-// "serves heavy traffic"). A BatchedEncoder accepts requests from any
-// number of client threads, micro-batches them onto the runtime thread
-// pool, runs each table through the graph-free inference path
-// (EncodeOptions::inference), and memoizes results in an LRU cache
-// keyed by the serialized-table hash. Identical in-flight requests are
-// coalesced: each distinct table is encoded exactly once no matter how
-// many clients ask for it concurrently.
+// "serves heavy traffic"). serve::Cluster (serve/cluster.h) is the one
+// encode service; this header holds what its shards are built from. A
+// BatchedEncoder shard accepts requests from any number of client
+// threads, micro-batches them onto the runtime thread pool, runs each
+// table through the graph-free inference path (EncodeOptions::
+// inference), and memoizes results in an LRU cache keyed by the
+// serialized-table hash. Identical in-flight requests are coalesced:
+// each distinct table is encoded exactly once no matter how many
+// clients ask for it concurrently.
 //
-// The API is typed-status/async: the primitive Submit(input, trace,
-// precision, done) copies the input and calls `done` exactly once with
-// a StatusOr — Ok with the shared encoding, kOverloaded when admission
-// control sheds the request, or kCancelled when the encoder shut down
-// first — inline for a hit, shed or cancel, else on the dispatcher.
-// The future Submit and blocking Encode() wrap it. Nothing here blocks
-// without a typed way out, and nothing crashes on overload or shutdown.
+// The API is typed-status/async: Submit copies the input and calls
+// `done` exactly once with a StatusOr — Ok with the shared encoding,
+// kOverloaded when admission control sheds the request, or kCancelled
+// when the shard shut down first — inline for a hit, shed or cancel,
+// else on the dispatcher. Nothing here blocks without a typed way out,
+// and nothing crashes on overload or shutdown.
 //
 // Counters (tabrep.serve.*): requests, cache.hit, cache.miss,
 // coalesced, encoded, shed; histogram batch.size records how many
 // tables each dispatcher wakeup carried.
 //
-// Weights are copy-on-write snapshots (ISSUE 10): the encoder holds a
-// mutex-guarded shared_ptr to an immutable {model, version} pair, every
-// Submit captures the snapshot it will encode under, and SetSnapshot
-// swaps in new weights without dropping, blocking, or reordering
-// in-flight requests — a request admitted under version V encodes
-// under version V even if V+1 is published before its batch runs. The
-// snapshot version is mixed into the cache key (entries from old
-// weights become unreachable, never served stale) and echoed in
-// EncodedTable::weights_version so clients can observe a rollover.
-// serve::Cluster (serve/cluster.h) shards N BatchedEncoders behind a
-// hash-affinity router on top of exactly these primitives.
+// Weights are immutable {model, version} snapshots owned by the
+// cluster. Each Submit carries the snapshot the request encodes
+// under, so a request admitted under version V encodes under V even if
+// V+1 is published before its batch runs. The snapshot version is mixed
+// into the cache key (entries from old weights become unreachable,
+// never served stale) and echoed in EncodedTable::weights_version so
+// clients can observe a rollover.
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -77,20 +72,18 @@ struct EncodedTable {
 
 using EncodedTablePtr = std::shared_ptr<const EncodedTable>;
 
-/// One immutable generation of model weights. The serving layer never
-/// mutates a model it encodes with after construction-time eval-mode
-/// setup; swapping generations means swapping the pointer, so readers
-/// holding the old snapshot finish on the old weights (copy-on-write).
+/// One immutable generation of model weights, shared by every shard.
+/// The serving layer never mutates a model it encodes with after
+/// eval-mode setup (graph-free inference only reads it, from any
+/// number of threads); swapping generations means swapping the
+/// pointer, so readers holding the old snapshot finish on the old
+/// weights (copy-on-write).
 struct WeightsSnapshot {
   std::shared_ptr<models::TableEncoderModel> model;
   uint64_t version = 1;
 };
 
 using WeightsSnapshotPtr = std::shared_ptr<const WeightsSnapshot>;
-
-/// Wraps a caller-owned model (not freed) into a version-1 snapshot.
-/// The model must outlive every encoder still holding the snapshot.
-WeightsSnapshotPtr BorrowSnapshot(models::TableEncoderModel* model);
 
 /// Mutex-guarded LRU map from table hash to encoding. Capacity 0
 /// disables caching (every Get misses, Put is a no-op).
@@ -127,9 +120,8 @@ struct BatchedEncoderOptions {
   /// first request arrives. Affects batching/latency only, never the
   /// encoded values.
   int64_t max_wait_us = 200;
-  /// LRU capacity; -1 reads TABREP_ENCODE_CACHE (default 256), 0
-  /// disables caching.
-  int64_t cache_capacity = -1;
+  /// LRU capacity in entries; 0 disables caching.
+  int64_t cache_capacity = 256;
   /// Admission bound: distinct tables allowed to wait in the dispatch
   /// queue before Submit sheds with kOverloaded. 0 = unbounded
   /// (in-process callers provide their own backpressure by blocking);
@@ -147,7 +139,7 @@ struct BatchedEncoderOptions {
 
 /// One documented defaulting path for every serve-layer tunable: reads
 /// `name` from the environment, returning `fallback` when unset, empty,
-/// or unparsable. Shared by BatchedEncoderOptions resolution and
+/// or unparsable. Shared by OptionsFromEnv, ClusterOptionsFromEnv and
 /// net::ServerOptions::FromEnv so no subsystem grows ad-hoc getenv
 /// calls again.
 int64_t EnvInt64(const char* name, int64_t fallback);
@@ -165,82 +157,34 @@ std::string EnvString(const char* name, std::string fallback);
 ///   TABREP_SERVE_MAX_QUEUE    -> max_queue
 BatchedEncoderOptions OptionsFromEnv();
 
-/// Completion callback of EncodeService::Submit. Runs exactly once,
+/// Completion callback of an encode Submit. Runs exactly once,
 /// either inline in Submit (possibly under the cluster's routing lock)
 /// or on a dispatcher thread, so it must be cheap, must not block and
-/// must not call back into the service.
+/// must not call back into the cluster.
 using EncodeCallback = std::function<void(StatusOr<EncodedTablePtr>)>;
 
-/// What the network front-end needs from an encode backend — one
-/// BatchedEncoder or a serve::Cluster of them, interchangeably. The
-/// shard-indexed accessors let the server wire per-shard watchdog
-/// heartbeats and depth probes without knowing the concrete topology.
-class EncodeService {
+/// One shard of a serve::Cluster: queue, coalescing, cache, dispatcher
+/// and heartbeat. The destructor drains every accepted request (running
+/// its callback) before joining the dispatcher.
+class BatchedEncoder {
  public:
-  virtual ~EncodeService() = default;
-
-  /// Non-blocking typed admission; see BatchedEncoder::Submit for the
-  /// full callback/trace contract every implementation honors.
-  virtual void Submit(const TokenizedTable& input, obs::RequestContext* trace,
-                      kernels::Precision precision, EncodeCallback done) = 0;
-
-  /// Future form of Submit: the future resolves when `done` would run.
-  std::future<StatusOr<EncodedTablePtr>> Submit(
-      const TokenizedTable& input, obs::RequestContext* trace = nullptr,
-      kernels::Precision precision = kernels::Precision::kFloat32);
-
-  /// Blocking convenience wrapper: Submit + wait. The table is copied;
-  /// safe to destroy `input` while the request is in flight.
-  StatusOr<EncodedTablePtr> Encode(
-      const TokenizedTable& input,
-      kernels::Precision precision = kernels::Precision::kFloat32) {
-    return Submit(input, nullptr, precision).get();
-  }
-
-  /// Distinct tables waiting for a dispatcher right now, summed over
-  /// shards (racy by nature, like any depth).
-  virtual int64_t queue_depth() const = 0;
-
-  /// Replica topology: shard_count() is >= 1; the per-shard accessors
-  /// take 0 <= shard < shard_count().
-  virtual int64_t shard_count() const = 0;
-  virtual int64_t shard_queue_depth(int64_t shard) const = 0;
-  virtual const obs::Heartbeat& shard_heartbeat(int64_t shard) const = 0;
-
-  /// Version of the newest published weights snapshot (monotonic,
-  /// starts at 1). Individual responses echo the version they actually
-  /// encoded under, which lags this during a rollover.
-  virtual uint64_t weights_version() const = 0;
-
-  /// One JSON object describing the topology for the kStats "cluster"
-  /// section: shard count, per-shard live queue depths, steal/routed
-  /// counts, weights version.
-  virtual std::string TopologyJson() const = 0;
-};
-
-/// Thread-safe micro-batching facade over TableEncoderModel::Encode.
-/// Puts the model in eval mode on construction; the destructor drains
-/// every accepted request (running its callback) before joining the
-/// dispatcher.
-class BatchedEncoder : public EncodeService {
- public:
-  explicit BatchedEncoder(models::TableEncoderModel* model,
-                          BatchedEncoderOptions options = {});
-  /// Snapshot-owning form (serve::Cluster replicas): the encoder keeps
-  /// the snapshot's model alive through the shared_ptr.
-  explicit BatchedEncoder(WeightsSnapshotPtr snapshot,
-                          BatchedEncoderOptions options = {});
-  ~BatchedEncoder() override;
+  explicit BatchedEncoder(BatchedEncoderOptions options = {});
+  ~BatchedEncoder();
 
   BatchedEncoder(const BatchedEncoder&) = delete;
   BatchedEncoder& operator=(const BatchedEncoder&) = delete;
 
-  using EncodeService::Submit;
-
-  /// Non-blocking admission: hashes `input`, serves cache hits
-  /// immediately, coalesces onto an identical in-flight request, or
-  /// enqueues a copy for the dispatcher. COPIES the table — the caller
-  /// need not keep `input` alive after the call returns. `done` gets:
+  /// Non-blocking admission of one request the cluster routed here:
+  /// serves cache hits immediately, coalesces onto an identical
+  /// in-flight request, or enqueues a copy for the dispatcher. COPIES
+  /// the table — the caller need not keep `input` alive after the call
+  /// returns. `table_hash` is HashTokenizedTable(input) and `snapshot`
+  /// the weights generation the request encodes under (copied only if
+  /// the request is queued); both go into the cache key. A non-zero `key_salt` (the router's steal salt)
+  /// keeps this shard's cache and coalescing keyspace for stolen
+  /// requests disjoint from its home-routed traffic, so stealing
+  /// changes only *where* a table is encoded, never what any cache
+  /// serves for the home key. `done` gets:
   ///   Ok(EncodedTablePtr)  — encoded (or served from cache)
   ///   kOverloaded          — the dispatch queue was at max_queue
   ///   kCancelled           — submitted after shutdown began
@@ -256,44 +200,16 @@ class BatchedEncoder : public EncodeService {
   /// paths that never reach the dispatcher (cache hit, shed, shutdown)
   /// stamp the dispatcher triple to the Submit call time so the
   /// queue/batch/inference stages read as ~zero.
-  void Submit(const TokenizedTable& input, obs::RequestContext* trace,
-              kernels::Precision precision, EncodeCallback done) override {
-    SubmitSalted(input, trace, precision, 0, std::move(done));
-  }
-
-  /// Submit with an extra cache-key salt. The cluster router uses this
-  /// for stolen requests: a non-zero salt keeps the thief shard's
-  /// cache and coalescing keyspace disjoint from its home-routed
-  /// traffic, so stealing perturbs only *where* a table is encoded —
-  /// never what any cache serves for the home key. Encoded bytes are
-  /// identical either way (the key pins the snapshot version too).
-  void SubmitSalted(const TokenizedTable& input, obs::RequestContext* trace,
-                    kernels::Precision precision, uint64_t key_salt,
-                    EncodeCallback done);
+  void Submit(const TokenizedTable& input, uint64_t table_hash,
+              uint64_t key_salt, const WeightsSnapshotPtr& snapshot,
+              obs::RequestContext* trace, kernels::Precision precision,
+              EncodeCallback done);
 
   const EncodeCache& cache() const { return cache_; }
-  const BatchedEncoderOptions& options() const { return options_; }
 
   /// Distinct tables waiting for the dispatcher right now (kHealth
   /// wire probes report this; it is racy by nature, like any depth).
-  int64_t queue_depth() const override;
-
-  /// A BatchedEncoder is the degenerate one-shard service.
-  int64_t shard_count() const override { return 1; }
-  int64_t shard_queue_depth(int64_t) const override { return queue_depth(); }
-  const obs::Heartbeat& shard_heartbeat(int64_t) const override {
-    return heartbeat_;
-  }
-  uint64_t weights_version() const override;
-  std::string TopologyJson() const override;
-
-  /// Atomically swaps in a new weights generation (copy-on-write hot
-  /// reload). Requests already admitted keep encoding under the
-  /// snapshot they captured at Submit time; requests admitted after
-  /// the store encode under (and cache-key under) the new one. The
-  /// caller is responsible for version monotonicity (serve::Cluster
-  /// enforces it); the model is put in eval mode here.
-  void SetSnapshot(WeightsSnapshotPtr snapshot);
+  int64_t queue_depth() const;
 
   /// Dispatcher liveness beacon (ISSUE 8): beaten at the top of every
   /// dispatcher iteration and on every idle wakeup, so a wedged batch
@@ -320,9 +236,10 @@ class BatchedEncoder : public EncodeService {
     uint64_t key = 0;
     TokenizedTable table;  // owned copy of the leader's input
     kernels::Precision precision = kernels::Precision::kFloat32;
-    /// The weights generation captured at Submit time: the dispatcher
-    /// encodes with exactly this model even if a newer snapshot is
-    /// published while the request waits (never-torn reloads).
+    /// The weights generation the cluster captured at Submit time: the
+    /// dispatcher encodes with exactly this model even if a newer
+    /// snapshot is published while the request waits (never-torn
+    /// reloads).
     WeightsSnapshotPtr snapshot;
     std::vector<Waiter> waiters;
     obs::RequestContext::TimePoint dequeued{};
@@ -333,18 +250,6 @@ class BatchedEncoder : public EncodeService {
 
   void DispatcherLoop();
 
-  /// The current weights generation; Submit copies it once per request
-  /// and SetSnapshot swaps it, both under snapshot_mu_ (a dedicated
-  /// mutex, not std::atomic<shared_ptr>, whose libstdc++ lock-bit
-  /// implementation ThreadSanitizer cannot model — the copy is one
-  /// refcount bump, trivial next to an encode). Old generations die
-  /// when the last Pending/cache-free reference drops.
-  WeightsSnapshotPtr CurrentSnapshot() const {
-    std::lock_guard<std::mutex> lock(snapshot_mu_);
-    return snapshot_;
-  }
-  mutable std::mutex snapshot_mu_;
-  WeightsSnapshotPtr snapshot_;
   BatchedEncoderOptions options_;
   EncodeCache cache_;
 

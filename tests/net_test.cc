@@ -446,10 +446,10 @@ TableSerializer* NetFixture::serializer_ = nullptr;
 TableEncoderModel* NetFixture::model_ = nullptr;
 
 TEST_F(NetFixture, PingAndSingleEncodeParity) {
-  serve::BatchedEncoderOptions sopts;
-  sopts.need_cells = true;
-  serve::BatchedEncoder encoder(model_, sopts);
-  net::Server server(&encoder);
+  serve::ClusterOptions copts;
+  copts.encoder.need_cells = true;
+  serve::Cluster cluster(model_, copts);
+  net::Server server(&cluster);
   ASSERT_TRUE(server.Start().ok());
   ASSERT_NE(server.port(), 0);
 
@@ -474,8 +474,8 @@ TEST_F(NetFixture, PingAndSingleEncodeParity) {
 }
 
 TEST_F(NetFixture, ConcurrentConnectionsMatchDirectEncode) {
-  serve::BatchedEncoder encoder(model_, {});
-  net::Server server(&encoder);
+  serve::Cluster cluster(model_);
+  net::Server server(&cluster);
   ASSERT_TRUE(server.Start().ok());
 
   const size_t num_tables = 8;
@@ -518,8 +518,8 @@ TEST_F(NetFixture, ConcurrentConnectionsMatchDirectEncode) {
 }
 
 TEST_F(NetFixture, PipelinedRequestsComeBackInOrder) {
-  serve::BatchedEncoder encoder(model_, {});
-  net::Server server(&encoder);
+  serve::Cluster cluster(model_);
+  net::Server server(&cluster);
   ASSERT_TRUE(server.Start().ok());
   StatusOr<net::Client> client = net::Client::Connect("127.0.0.1",
                                                       server.port());
@@ -546,8 +546,8 @@ TEST_F(NetFixture, PipelinedRequestsComeBackInOrder) {
 }
 
 TEST_F(NetFixture, MalformedPayloadGetsTypedInvalidArgument) {
-  serve::BatchedEncoder encoder(model_, {});
-  net::Server server(&encoder);
+  serve::Cluster cluster(model_);
+  net::Server server(&cluster);
   ASSERT_TRUE(server.Start().ok());
   StatusOr<net::Client> client = net::Client::Connect("127.0.0.1",
                                                       server.port());
@@ -616,8 +616,8 @@ TEST_F(NetFixture, MalformedPayloadGetsTypedInvalidArgument) {
 }
 
 TEST_F(NetFixture, BadMagicGetsTypedErrorResponseAndClose) {
-  serve::BatchedEncoder encoder(model_, {});
-  net::Server server(&encoder);
+  serve::Cluster cluster(model_);
+  net::Server server(&cluster);
   ASSERT_TRUE(server.Start().ok());
 
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -659,16 +659,16 @@ TEST_F(NetFixture, SaturatedQueueShedsWithTypedOverloadedAndZeroDrops) {
   // the per-connection cap admits 2, the burst is 12 — all 12 frames
   // land at the event loop long before the first completion, so
   // exactly 2 are admitted and 10 shed. Every request gets an answer.
-  serve::BatchedEncoderOptions eopts;
-  eopts.max_batch = 1;
-  eopts.max_wait_us = 0;
-  eopts.cache_capacity = 0;
-  eopts.dispatch_delay_us = 200000;
-  serve::BatchedEncoder encoder(model_, eopts);
+  serve::ClusterOptions copts;
+  copts.encoder.max_batch = 1;
+  copts.encoder.max_wait_us = 0;
+  copts.encoder.cache_capacity = 0;
+  copts.encoder.dispatch_delay_us = 200000;
+  serve::Cluster cluster(model_, copts);
 
   net::ServerOptions sopts;
   sopts.max_inflight_per_conn = 2;
-  net::Server server(&encoder, sopts);
+  net::Server server(&cluster, sopts);
   ASSERT_TRUE(server.Start().ok());
   StatusOr<net::Client> client = net::Client::Connect("127.0.0.1",
                                                       server.port());
@@ -733,8 +733,8 @@ TEST(WireTypeTest, IntrospectionTypeBytesArePinned) {
 }
 
 TEST_F(NetFixture, StatsAndHealthRoundTripUnderLoad) {
-  serve::BatchedEncoder encoder(model_, {});
-  net::Server server(&encoder);
+  serve::Cluster cluster(model_);
+  net::Server server(&cluster);
   ASSERT_TRUE(server.Start().ok());
   StatusOr<net::Client> client = net::Client::Connect("127.0.0.1",
                                                       server.port());
@@ -851,8 +851,8 @@ TEST_F(NetFixture, ClusterBackedServerEchoesVersionAndTopology) {
 }
 
 TEST_F(NetFixture, StatsRequestWithPayloadIsTypedInvalidArgument) {
-  serve::BatchedEncoder encoder(model_, {});
-  net::Server server(&encoder);
+  serve::Cluster cluster(model_);
+  net::Server server(&cluster);
   ASSERT_TRUE(server.Start().ok());
 
   // Introspection requests carry no payload; a non-empty one must come
@@ -918,13 +918,14 @@ TEST_F(NetFixture, PipelinedStatsOvertakesSlowEncodes) {
   // frame pipelined behind slow encode requests comes back FIRST (the
   // health plane must work while the encoder is saturated), while the
   // encode responses themselves keep FIFO order.
-  serve::BatchedEncoderOptions eopts;
-  eopts.max_batch = 1;
-  eopts.max_wait_us = 0;
-  eopts.cache_capacity = 0;
-  eopts.dispatch_delay_us = 100000;  // 100ms/batch: encodes are slow
-  serve::BatchedEncoder encoder(model_, eopts);
-  net::Server server(&encoder);
+  serve::ClusterOptions copts;
+  copts.encoder.max_batch = 1;
+  copts.encoder.max_wait_us = 0;
+  copts.encoder.cache_capacity = 0;
+  // 100ms/batch: encodes are slow.
+  copts.encoder.dispatch_delay_us = 100000;
+  serve::Cluster cluster(model_, copts);
+  net::Server server(&cluster);
   ASSERT_TRUE(server.Start().ok());
   StatusOr<net::Client> client = net::Client::Connect("127.0.0.1",
                                                       server.port());
@@ -956,12 +957,12 @@ TEST_F(NetFixture, CacheHitOvertakesAnotherConnectionsSlowEncode) {
   // Completions go straight to the event loop per request: connection
   // B's cache hit must not wait behind connection A's miss, which the
   // dispatcher holds for 300ms.
-  serve::BatchedEncoderOptions eopts;
-  eopts.max_batch = 1;
-  eopts.max_wait_us = 0;
-  eopts.dispatch_delay_us = 300000;
-  serve::BatchedEncoder encoder(model_, eopts);
-  net::Server server(&encoder);
+  serve::ClusterOptions copts;
+  copts.encoder.max_batch = 1;
+  copts.encoder.max_wait_us = 0;
+  copts.encoder.dispatch_delay_us = 300000;
+  serve::Cluster cluster(model_, copts);
+  net::Server server(&cluster);
   ASSERT_TRUE(server.Start().ok());
   StatusOr<net::Client> a = net::Client::Connect("127.0.0.1", server.port());
   StatusOr<net::Client> b = net::Client::Connect("127.0.0.1", server.port());
@@ -998,13 +999,13 @@ TEST_F(NetFixture, StopWithEncodeInFlightIsClean) {
   // Destroying the server while the dispatcher is still inside a slow
   // encode: Stop must wait for that request's callback (which writes
   // the server's eventfd and owns its trace) before tearing down.
-  serve::BatchedEncoderOptions eopts;
-  eopts.max_batch = 1;
-  eopts.max_wait_us = 0;
-  eopts.cache_capacity = 0;
-  eopts.dispatch_delay_us = 200000;
-  serve::BatchedEncoder encoder(model_, eopts);
-  auto server = std::make_unique<net::Server>(&encoder);
+  serve::ClusterOptions copts;
+  copts.encoder.max_batch = 1;
+  copts.encoder.max_wait_us = 0;
+  copts.encoder.cache_capacity = 0;
+  copts.encoder.dispatch_delay_us = 200000;
+  serve::Cluster cluster(model_, copts);
+  auto server = std::make_unique<net::Server>(&cluster);
   ASSERT_TRUE(server->Start().ok());
   StatusOr<net::Client> client = net::Client::Connect("127.0.0.1",
                                                       server->port());
@@ -1022,12 +1023,12 @@ TEST_F(NetFixture, StopWithEncodeInFlightIsClean) {
   // The response is never written: the client sees the close.
   EXPECT_FALSE(client->ReadResponse().ok());
   // The encoder outlives the server and keeps serving direct callers.
-  EXPECT_TRUE(encoder.Encode(serializer_->Serialize(corpus_->tables[4])).ok());
+  EXPECT_TRUE(cluster.Encode(serializer_->Serialize(corpus_->tables[4])).ok());
 }
 
 TEST_F(NetFixture, StopWhileClientsConnectedIsClean) {
-  serve::BatchedEncoder encoder(model_, {});
-  auto server = std::make_unique<net::Server>(&encoder);
+  serve::Cluster cluster(model_);
+  auto server = std::make_unique<net::Server>(&cluster);
   ASSERT_TRUE(server->Start().ok());
   StatusOr<net::Client> client = net::Client::Connect("127.0.0.1",
                                                       server->port());

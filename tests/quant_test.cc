@@ -10,7 +10,7 @@
 #include "obs/metrics.h"
 #include "runtime/runtime.h"
 #include "serialize/vocab_builder.h"
-#include "serve/serve.h"
+#include "serve/cluster.h"
 #include "table/synth.h"
 
 // Model-level contract of the int8 quantized inference path (ISSUE 9):
@@ -216,13 +216,13 @@ TEST_F(QuantFixture, ServeCachesInt8AndFloatSeparately) {
   TableEncoderModel model(TinyConfig(ModelFamily::kVanilla));
   model.SetTraining(false);
   ASSERT_GT(model.CalibrateInt8(CalibrationCorpus(6)), 0);
-  serve::BatchedEncoder encoder(&model);
+  serve::Cluster cluster(&model);
   const TokenizedTable input = Table(1);
 
-  StatusOr<serve::EncodedTablePtr> f32 = encoder.Encode(input);
+  StatusOr<serve::EncodedTablePtr> f32 = cluster.Encode(input);
   ASSERT_TRUE(f32.ok()) << f32.status().ToString();
   StatusOr<serve::EncodedTablePtr> int8 =
-      encoder.Encode(input, kernels::Precision::kInt8);
+      cluster.Encode(input, kernels::Precision::kInt8);
   ASSERT_TRUE(int8.ok()) << int8.status().ToString();
 
   // Same table, distinct cache identities and result labels: an int8
@@ -233,11 +233,11 @@ TEST_F(QuantFixture, ServeCachesInt8AndFloatSeparately) {
   EXPECT_FALSE(BitwiseEqual(f32.value()->hidden, int8.value()->hidden));
 
   // Re-asking under each precision hits the matching cache entry.
-  StatusOr<serve::EncodedTablePtr> f32_again = encoder.Encode(input);
+  StatusOr<serve::EncodedTablePtr> f32_again = cluster.Encode(input);
   ASSERT_TRUE(f32_again.ok());
   EXPECT_EQ(f32_again.value().get(), f32.value().get());
   StatusOr<serve::EncodedTablePtr> int8_again =
-      encoder.Encode(input, kernels::Precision::kInt8);
+      cluster.Encode(input, kernels::Precision::kInt8);
   ASSERT_TRUE(int8_again.ok());
   EXPECT_EQ(int8_again.value().get(), int8.value().get());
 }

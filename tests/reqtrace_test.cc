@@ -18,7 +18,7 @@
 #include "obs/metrics.h"
 #include "obs/reqtrace.h"
 #include "serialize/vocab_builder.h"
-#include "serve/serve.h"
+#include "serve/cluster.h"
 #include "table/synth.h"
 
 namespace tabrep {
@@ -208,13 +208,13 @@ TableSerializer* ReqTraceFixture::serializer_ = nullptr;
 TableEncoderModel* ReqTraceFixture::model_ = nullptr;
 
 TEST_F(ReqTraceFixture, SubmitStampsTheDispatcherTripleMonotonically) {
-  serve::BatchedEncoder encoder(model_, {});
+  serve::Cluster cluster(model_);
   const TokenizedTable input = serializer_->Serialize(corpus_->tables[0]);
 
   RequestContext trace;
   trace.received = Clock::now();
   trace.decoded = trace.received;
-  auto future = encoder.Submit(input, &trace);
+  auto future = cluster.Submit(input, &trace);
   ASSERT_TRUE(future.get().ok());
   // future.get() is the synchronizing edge: the dispatcher's stamps are
   // visible here and in chain order.
@@ -231,7 +231,7 @@ TEST_F(ReqTraceFixture, SubmitStampsTheDispatcherTripleMonotonically) {
   RequestContext hit;
   hit.received = Clock::now();
   hit.decoded = hit.received;
-  auto future2 = encoder.Submit(input, &hit);
+  auto future2 = cluster.Submit(input, &hit);
   ASSERT_TRUE(future2.get().ok());
   EXPECT_TRUE(hit.cache_hit);
   EXPECT_EQ(hit.batch_size, 0);
@@ -243,17 +243,17 @@ TEST_F(ReqTraceFixture, BatchStageMatchesDispatchDelay) {
   // dispatch_delay_us holds every batch between dequeue and encode;
   // the batch stage must show it. sleep_for never wakes early, so the
   // lower bound is exact; the upper bound is generous for loaded CI.
-  serve::BatchedEncoderOptions opts;
-  opts.max_batch = 1;
-  opts.max_wait_us = 0;
-  opts.cache_capacity = 0;
-  opts.dispatch_delay_us = 30000;  // 30ms
-  serve::BatchedEncoder encoder(model_, opts);
+  serve::ClusterOptions opts;
+  opts.encoder.max_batch = 1;
+  opts.encoder.max_wait_us = 0;
+  opts.encoder.cache_capacity = 0;
+  opts.encoder.dispatch_delay_us = 30000;  // 30ms
+  serve::Cluster cluster(model_, opts);
 
   RequestContext trace;
   trace.received = Clock::now();
   trace.decoded = trace.received;
-  auto future = encoder.Submit(serializer_->Serialize(corpus_->tables[1]),
+  auto future = cluster.Submit(serializer_->Serialize(corpus_->tables[1]),
                                &trace);
   ASSERT_TRUE(future.get().ok());
   const obs::StageBreakdown b = obs::ComputeStages(trace);
@@ -268,10 +268,10 @@ TEST_F(ReqTraceFixture, ServerWritesParsableAccessLogWithUniqueRequestIds) {
   std::remove(log_path.c_str());
   Tensor with_log_hidden;
   {
-    serve::BatchedEncoder encoder(model_, {});
+    serve::Cluster cluster(model_);
     net::ServerOptions sopts;
     sopts.access_log_path = log_path;
-    net::Server server(&encoder, sopts);
+    net::Server server(&cluster, sopts);
     ASSERT_TRUE(server.Start().ok());
     StatusOr<net::Client> client = net::Client::Connect("127.0.0.1",
                                                         server.port());
@@ -313,8 +313,8 @@ TEST_F(ReqTraceFixture, ServerWritesParsableAccessLogWithUniqueRequestIds) {
   // Tracing is observation, not transformation: the same table through
   // a server WITHOUT the access log encodes bitwise-identically.
   {
-    serve::BatchedEncoder encoder(model_, {});
-    net::Server server(&encoder);
+    serve::Cluster cluster(model_);
+    net::Server server(&cluster);
     ASSERT_TRUE(server.Start().ok());
     StatusOr<net::Client> client = net::Client::Connect("127.0.0.1",
                                                         server.port());
@@ -347,16 +347,17 @@ TEST_F(ReqTraceFixture, StopMidLoadFlushesEveryAccountedResponse) {
   std::remove(log_path.c_str());
   std::atomic<uint64_t> received{0};  // ok + shed + typed errors read back
   {
-    serve::BatchedEncoderOptions eopts;
-    eopts.max_batch = 1;
-    eopts.max_wait_us = 0;
-    eopts.cache_capacity = 0;
-    eopts.dispatch_delay_us = 5000;  // 5ms/batch: Stop() lands mid-load
-    serve::BatchedEncoder encoder(model_, eopts);
+    serve::ClusterOptions copts;
+    copts.encoder.max_batch = 1;
+    copts.encoder.max_wait_us = 0;
+    copts.encoder.cache_capacity = 0;
+    // 5ms/batch: Stop() lands mid-load.
+    copts.encoder.dispatch_delay_us = 5000;
+    serve::Cluster cluster(model_, copts);
     net::ServerOptions sopts;
     sopts.access_log_path = log_path;
     sopts.max_inflight_per_conn = 2;  // small cap: some requests shed
-    net::Server server(&encoder, sopts);
+    net::Server server(&cluster, sopts);
     ASSERT_TRUE(server.Start().ok());
 
     std::vector<std::thread> clients;
@@ -402,8 +403,8 @@ TEST_F(ReqTraceFixture, StageHistogramsPopulateAfterServedTraffic) {
   const uint64_t inf_before =
       reg.histogram("tabrep.serve.stage.inference.us").Stats().count;
 
-  serve::BatchedEncoder encoder(model_, {});
-  net::Server server(&encoder);
+  serve::Cluster cluster(model_);
+  net::Server server(&cluster);
   ASSERT_TRUE(server.Start().ok());
   StatusOr<net::Client> client = net::Client::Connect("127.0.0.1",
                                                       server.port());
@@ -437,11 +438,11 @@ TEST_F(ReqTraceFixture, ConcurrentTracedSubmitsAreRaceFree) {
   // TSan hammer (reqtrace_test_4threads): many client threads submit
   // with their own traces while the dispatcher batches across them; the
   // stamps must land without data races and in chain order everywhere.
-  serve::BatchedEncoderOptions opts;
-  opts.max_batch = 4;
-  opts.max_wait_us = 500;
-  opts.cache_capacity = 0;
-  serve::BatchedEncoder encoder(model_, opts);
+  serve::ClusterOptions opts;
+  opts.encoder.max_batch = 4;
+  opts.encoder.max_wait_us = 500;
+  opts.encoder.cache_capacity = 0;
+  serve::Cluster cluster(model_, opts);
 
   std::vector<TokenizedTable> inputs;
   for (int i = 0; i < 8; ++i) {
@@ -457,7 +458,7 @@ TEST_F(ReqTraceFixture, ConcurrentTracedSubmitsAreRaceFree) {
         RequestContext trace;
         trace.received = Clock::now();
         trace.decoded = trace.received;
-        auto future = encoder.Submit(
+        auto future = cluster.Submit(
             inputs[static_cast<size_t>((t * rounds + r) % 8)], &trace);
         if (!future.get().ok() || !trace.submitted ||
             trace.encode_end < trace.encode_start ||

@@ -197,11 +197,11 @@ TEST_F(ServeFixture, BatchedEncoderMatchesDirectEncodeAndCaches) {
   opts.inference = true;
   models::Encoded direct = model.Encode(serialized, rng, opts);
 
-  serve::BatchedEncoderOptions sopts;
-  sopts.cache_capacity = 8;
-  sopts.need_cells = true;
-  serve::BatchedEncoder encoder(&model, sopts);
-  StatusOr<serve::EncodedTablePtr> first_or = encoder.Encode(serialized);
+  serve::ClusterOptions copts;
+  copts.encoder.cache_capacity = 8;
+  copts.encoder.need_cells = true;
+  serve::Cluster cluster(&model, copts);
+  StatusOr<serve::EncodedTablePtr> first_or = cluster.Encode(serialized);
   ASSERT_TRUE(first_or.ok()) << first_or.status().ToString();
   serve::EncodedTablePtr first = *first_or;
   ASSERT_NE(first, nullptr);
@@ -209,10 +209,10 @@ TEST_F(ServeFixture, BatchedEncoderMatchesDirectEncodeAndCaches) {
   ASSERT_TRUE(first->has_cells);
   EXPECT_TRUE(BitwiseEqual(first->cells, direct.cells.value()));
   // Second request is a cache hit: the very same shared encoding.
-  StatusOr<serve::EncodedTablePtr> second = encoder.Encode(serialized);
+  StatusOr<serve::EncodedTablePtr> second = cluster.Encode(serialized);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(*second, first);
-  EXPECT_EQ(encoder.cache().size(), 1u);
+  EXPECT_EQ(cluster.shard(0).cache().size(), 1u);
 }
 
 // The dispatcher encodes inside ParallelFor lanes, where nested
@@ -259,10 +259,10 @@ TEST_F(ServeFixture, BatchedEncoderConcurrentClients) {
     expected.push_back(model.Encode(in, rng, opts).hidden.value());
   }
 
-  serve::BatchedEncoderOptions sopts;
-  sopts.max_batch = 4;
-  sopts.cache_capacity = 64;
-  serve::BatchedEncoder encoder(&model, sopts);
+  serve::ClusterOptions copts;
+  copts.encoder.max_batch = 4;
+  copts.encoder.cache_capacity = 64;
+  serve::Cluster cluster(&model, copts);
 
   // Every client requests every table several times; concurrent
   // requests for the same table coalesce onto one encode.
@@ -274,7 +274,7 @@ TEST_F(ServeFixture, BatchedEncoderConcurrentClients) {
     clients.emplace_back([&, c] {
       for (int r = 0; r < rounds; ++r) {
         for (size_t i = 0; i < inputs.size(); ++i) {
-          StatusOr<serve::EncodedTablePtr> out = encoder.Encode(inputs[i]);
+          StatusOr<serve::EncodedTablePtr> out = cluster.Encode(inputs[i]);
           if (!out.ok() || *out == nullptr ||
               !BitwiseEqual((*out)->hidden, expected[i])) {
             ++failures[static_cast<size_t>(c)];
@@ -285,7 +285,7 @@ TEST_F(ServeFixture, BatchedEncoderConcurrentClients) {
   }
   for (std::thread& t : clients) t.join();
   for (int f : failures) EXPECT_EQ(f, 0);
-  EXPECT_EQ(encoder.cache().size(), inputs.size());
+  EXPECT_EQ(cluster.shard(0).cache().size(), inputs.size());
 }
 
 TEST_F(ServeFixture, BatchedEncoderDrainsOnDestruction) {
@@ -298,11 +298,11 @@ TEST_F(ServeFixture, BatchedEncoderDrainsOnDestruction) {
   }
   std::vector<serve::EncodedTablePtr> results(inputs.size());
   {
-    serve::BatchedEncoder encoder(&model, {});
+    serve::Cluster cluster(&model);
     std::vector<std::thread> clients;
     for (size_t i = 0; i < inputs.size(); ++i) {
       clients.emplace_back(
-          [&, i] { results[i] = encoder.Encode(inputs[i]).value_or(nullptr); });
+          [&, i] { results[i] = cluster.Encode(inputs[i]).value_or(nullptr); });
     }
     for (std::thread& t : clients) t.join();
   }  // destructor joins the dispatcher after every request completed
@@ -323,12 +323,12 @@ TEST_F(ServeFixture, SubmitIsAsyncAndCopiesTheInput) {
   opts.inference = true;
   Tensor expected = model.Encode(serialized, rng, opts).hidden.value();
 
-  serve::BatchedEncoder encoder(&model, {});
+  serve::Cluster cluster(&model);
   std::future<StatusOr<serve::EncodedTablePtr>> future = [&] {
     // The input dies before the future resolves: Submit must have
     // copied it (the documented ISSUE-6 lifetime change).
     TokenizedTable doomed = serialized;
-    return encoder.Submit(doomed);
+    return cluster.Submit(doomed);
   }();
   StatusOr<serve::EncodedTablePtr> out = future.get();
   ASSERT_TRUE(out.ok()) << out.status().ToString();
@@ -340,17 +340,18 @@ TEST_F(ServeFixture, SubmitShedsWithTypedOverloadedWhenQueueIsFull) {
   TableEncoderModel model(config);
   model.SetTraining(false);
 
-  serve::BatchedEncoderOptions sopts;
-  sopts.max_batch = 1;
-  sopts.max_wait_us = 0;
-  sopts.cache_capacity = 0;  // every request is fresh work
-  sopts.max_queue = 1;
-  sopts.dispatch_delay_us = 100000;  // hold the dispatcher: queue backs up
-  serve::BatchedEncoder encoder(&model, sopts);
+  serve::ClusterOptions copts;
+  copts.encoder.max_batch = 1;
+  copts.encoder.max_wait_us = 0;
+  copts.encoder.cache_capacity = 0;  // every request is fresh work
+  copts.encoder.max_queue = 1;
+  // Hold the dispatcher: the queue backs up.
+  copts.encoder.dispatch_delay_us = 100000;
+  serve::Cluster cluster(&model, copts);
 
   std::vector<std::future<StatusOr<serve::EncodedTablePtr>>> futures;
   for (int i = 0; i < 8; ++i) {
-    futures.push_back(encoder.Submit(
+    futures.push_back(cluster.Submit(
         serializer_->Serialize(corpus_->tables[static_cast<size_t>(i)])));
   }
   int ok = 0, overloaded = 0;
@@ -388,6 +389,23 @@ TEST(ServeOptionsTest, OptionsFromEnvReadsEveryTunable) {
   serve::BatchedEncoderOptions defaults = serve::OptionsFromEnv();
   EXPECT_EQ(defaults.max_batch, serve::BatchedEncoderOptions{}.max_batch);
   EXPECT_EQ(defaults.cache_capacity, 256);  // the documented default
+}
+
+// TABREP_ENCODE_CACHE is read by OptionsFromEnv only: options built in
+// code mean what they say, whatever the environment holds.
+TEST(ServeOptionsTest, ExplicitOptionsIgnoreTheEncodeCacheVariable) {
+  EXPECT_EQ(serve::BatchedEncoderOptions{}.cache_capacity, 256);
+  ModelConfig config;
+  config.vocab_size = 64;
+  config.transformer.dim = 16;
+  config.transformer.num_layers = 1;
+  config.transformer.num_heads = 2;
+  config.transformer.ffn_dim = 32;
+  TableEncoderModel model(config);
+  setenv("TABREP_ENCODE_CACHE", "3", 1);
+  serve::Cluster cluster(&model, serve::ClusterOptions{});
+  unsetenv("TABREP_ENCODE_CACHE");
+  EXPECT_EQ(cluster.shard(0).cache().capacity(), 256u);
 }
 
 TEST(ServeOptionsTest, ClusterOptionsFromEnvRoundTrips) {

@@ -17,7 +17,7 @@
 #include "obs/watchdog.h"
 #include "obs/window.h"
 #include "serialize/vocab_builder.h"
-#include "serve/serve.h"
+#include "serve/cluster.h"
 #include "table/synth.h"
 
 // Global allocation counter for the zero-allocation record-path pin.
@@ -477,18 +477,18 @@ TEST_F(WindowNetFixture, DispatcherStallFlipsHealthDegradedThenRecovers) {
   // must flip to degraded with a dispatcher_stall reason within 2x the
   // deadman of the stall being induced, and return to ok once the
   // batch completes.
-  serve::BatchedEncoderOptions eopts;
-  eopts.max_batch = 1;
-  eopts.max_wait_us = 0;
-  eopts.cache_capacity = 0;
-  eopts.dispatch_delay_us = 1500000;
-  serve::BatchedEncoder encoder(model_, eopts);
+  serve::ClusterOptions copts;
+  copts.encoder.max_batch = 1;
+  copts.encoder.max_wait_us = 0;
+  copts.encoder.cache_capacity = 0;
+  copts.encoder.dispatch_delay_us = 1500000;
+  serve::Cluster cluster(model_, copts);
 
   net::ServerOptions sopts;
   sopts.watchdog_interval_ms = 30;
   sopts.watchdog_deadman_ms = 300;
   sopts.window_secs = 10;
-  net::Server server(&encoder, sopts);
+  net::Server server(&cluster, sopts);
   ASSERT_TRUE(server.Start().ok());
 
   StatusOr<net::Client> sender =
@@ -557,10 +557,10 @@ TEST_F(WindowNetFixture, DispatcherStallFlipsHealthDegradedThenRecovers) {
 }
 
 TEST_F(WindowNetFixture, WatchdogDisabledServesLegacyHealth) {
-  serve::BatchedEncoder encoder(model_, {});
+  serve::Cluster cluster(model_);
   net::ServerOptions sopts;
   sopts.watchdog = false;
-  net::Server server(&encoder, sopts);
+  net::Server server(&cluster, sopts);
   ASSERT_TRUE(server.Start().ok());
   StatusOr<net::Client> client =
       net::Client::Connect("127.0.0.1", server.port());

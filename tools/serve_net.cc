@@ -15,13 +15,12 @@
 // over TABREP_NET_PORT, --shards over TABREP_SHARDS. Prints the bound
 // port on startup (port 0 binds an ephemeral one).
 //
-// The backend is a serve::Cluster of N BatchedEncoder replicas behind
-// the hash-affinity router (N=1 behaves like the pre-cluster single
-// encoder, still through the router). --reload-every-ms=MS republishes
-// the checkpoint every MS milliseconds, bumping the weights version
-// without changing the weights — a deterministic rollover generator,
-// so tools/loadgen can observe in-flight version transitions against a
-// stock binary.
+// The backend is a serve::Cluster of N shards behind the hash-affinity
+// router, all encoding with one shared model. --reload-every-ms=MS
+// republishes the checkpoint every MS milliseconds, bumping the weights
+// version without changing the weights — a deterministic rollover
+// generator, so tools/loadgen can observe in-flight version transitions
+// against a stock binary.
 
 #include <csignal>
 #include <cstdio>
