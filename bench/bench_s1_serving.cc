@@ -1,4 +1,4 @@
-// S1 — the serving-layer bench (allocation-free hot path).
+// S1 — the serving-layer bench.
 //
 // Three phases over one TaBERT-family model:
 //   (a) single-encode latency, graph path vs the graph-free inference
@@ -68,7 +68,7 @@ int main() {
   models::EncodeOptions infer_opts = graph_opts;
   infer_opts.inference = true;
 
-  // Parity first (doubles as warmup: fills the tensor pool, so the
+  // Parity first (doubles as warmup: grows the scratch arena, so the
   // timed loops below measure the steady state, not first-touch
   // allocation).
   bool parity = true;
@@ -192,11 +192,7 @@ int main() {
                   reg.counter("tabrep.serve.coalesced").value()),
               static_cast<unsigned long long>(
                   reg.counter("tabrep.serve.encoded").value()));
-  std::printf("  pool: hit %llu  miss %llu  arena bytes %llu\n",
-              static_cast<unsigned long long>(
-                  reg.counter("tabrep.mem.pool.hit").value()),
-              static_cast<unsigned long long>(
-                  reg.counter("tabrep.mem.pool.miss").value()),
+  std::printf("  arena bytes %llu\n",
               static_cast<unsigned long long>(
                   reg.counter("tabrep.mem.arena.bytes").value()));
 

@@ -18,7 +18,6 @@
 #include "common/logging.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "tensor/arena.h"
 #include "tensor/kernels.h"
 
 namespace tabrep::net {
@@ -118,8 +117,6 @@ ServerOptions ServerOptions::FromEnv() {
       "TABREP_WATCHDOG_DEADMAN_MS", options.watchdog_deadman_ms);
   options.slo = obs::SloConfig::FromEnv();
   options.shards = serve::EnvInt64("TABREP_SHARDS", options.shards);
-  options.steal_threshold =
-      serve::EnvInt64("TABREP_STEAL_THRESHOLD", options.steal_threshold);
   return options;
 }
 
@@ -231,10 +228,6 @@ Status Server::Start() {
       return obs::Registry::Get()
           .gauge("tabrep.mem.arena.reserved_bytes")
           .value();
-    });
-    watchdog_->AddProbe("pool_cached_bytes", [] {
-      return static_cast<double>(mem::TensorPool::CachedFloats()) *
-             static_cast<double>(sizeof(float));
     });
     watchdog_->Start();
   }

@@ -78,20 +78,16 @@ struct ServerOptions {
   /// the log writes a line per request from the event loop.
   std::string access_log_path;
 
-  /// Cluster topology knobs (ISSUE 10). The Server itself serves
-  /// whatever Cluster it was handed; these exist so the binary that
-  /// builds the cluster (tools/serve_net) and ServerOptions::
-  /// FromEnv share one resolved source of truth for the shard count
-  /// and steal threshold (TABREP_SHARDS / TABREP_STEAL_THRESHOLD —
-  /// the same variables serve::ClusterOptionsFromEnv reads).
+  /// Shard count (TABREP_SHARDS, the variable serve::
+  /// ClusterOptionsFromEnv reads). The Server itself serves whatever
+  /// Cluster it was handed and never reads this field.
   int64_t shards = 1;
-  int64_t steal_threshold = 8;
 
   /// Runtime self-observability (ISSUE 8). When true, Start() spins up
   /// a WindowedRegistry (ticked once per watchdog interval) plus an
   /// obs::Watchdog that checks the event-loop and dispatcher
   /// heartbeats against the deadman, samples runtime probes (queue
-  /// depth, inflight, RSS, arena/pool bytes), and evaluates `slo` into
+  /// depth, inflight, RSS, arena bytes), and evaluates `slo` into
   /// the verdict served by kHealth.
   bool watchdog = true;
   int64_t window_secs = 10;
@@ -108,7 +104,7 @@ struct ServerOptions {
   ///   TABREP_NET_WATCHDOG (0 disables), TABREP_WINDOW_SECS,
   ///   TABREP_WATCHDOG_INTERVAL_MS, TABREP_WATCHDOG_DEADMAN_MS,
   ///   TABREP_SLO_P99_US, TABREP_SLO_SHED_RATE,
-  ///   TABREP_SHARDS, TABREP_STEAL_THRESHOLD.
+  ///   TABREP_SHARDS.
   static ServerOptions FromEnv();
 };
 

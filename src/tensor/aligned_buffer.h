@@ -12,7 +12,8 @@ namespace tabrep {
 
 /// A fixed-size float array whose storage starts on a 64-byte boundary
 /// (one cache line, and wide enough for any current SIMD width). This
-/// is the backing store for Tensor: the kernels layer
+/// is the backing store for Tensor: each non-empty Tensor allocates
+/// one from the heap and shares it with its copies. The kernels layer
 /// (tensor/kernels.h) relies on the alignment for aligned vector loads
 /// of packed panels and to keep rows from straddling cache lines.
 class AlignedBuffer {
@@ -20,12 +21,6 @@ class AlignedBuffer {
   static constexpr std::size_t kAlignment = 64;
 
   AlignedBuffer() = default;
-
-  /// Tag type: allocate without writing the elements. The caller must
-  /// fill the buffer before reading it (mem::TensorPool uses this so
-  /// recycled-or-fresh buffers behave identically).
-  struct Uninit {};
-  AlignedBuffer(Uninit, std::size_t n) : size_(n), data_(Allocate(n)) {}
 
   explicit AlignedBuffer(std::size_t n, float value = 0.0f)
       : size_(n), data_(Allocate(n)) {

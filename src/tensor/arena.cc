@@ -1,11 +1,6 @@
 #include "tensor/arena.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <mutex>
-#include <string>
-#include <unordered_map>
 
 #include "common/logging.h"
 #include "obs/metrics.h"
@@ -17,12 +12,6 @@ namespace {
 constexpr std::size_t kAlign = AlignedBuffer::kAlignment;
 constexpr std::size_t kMinSlabBytes = 1 << 20;  // 1 MiB
 
-/// Per-thread buffer cache limits. A bucket holds one tensor size;
-/// beyond the caps a released buffer spills to the shared store.
-constexpr std::size_t kThreadBucketCap = 32;
-constexpr std::size_t kThreadCapFloats = 16u << 20;  // 64 MiB
-constexpr std::size_t kGlobalCapFloats = 32u << 20;  // 128 MiB
-
 std::size_t RoundUp(std::size_t bytes) {
   return (bytes + kAlign - 1) & ~(kAlign - 1);
 }
@@ -30,16 +19,6 @@ std::size_t RoundUp(std::size_t bytes) {
 obs::Counter& ArenaBytesCounter() {
   static obs::Counter& c =
       obs::Registry::Get().counter("tabrep.mem.arena.bytes");
-  return c;
-}
-
-obs::Counter& PoolHitCounter() {
-  static obs::Counter& c = obs::Registry::Get().counter("tabrep.mem.pool.hit");
-  return c;
-}
-
-obs::Counter& PoolMissCounter() {
-  static obs::Counter& c = obs::Registry::Get().counter("tabrep.mem.pool.miss");
   return c;
 }
 
@@ -95,181 +74,6 @@ void Arena::ResetTo(Mark mark) {
       << "arena mark past the slab list";
   cur_slab_ = mark.slab;
   cur_offset_ = mark.offset;
-}
-
-namespace {
-
-/// Shared overflow store: buffers a thread could not cache locally.
-/// Mutex-guarded; only touched on local-cache overflow or miss.
-struct GlobalStore {
-  std::mutex mu;
-  std::unordered_map<std::size_t, std::vector<AlignedBuffer*>> buckets;
-  std::size_t cached_floats = 0;
-  ~GlobalStore() {
-    alive.store(false, std::memory_order_release);
-    for (auto& [n, list] : buckets) {
-      (void)n;
-      for (AlignedBuffer* b : list) delete b;
-    }
-  }
-  static std::atomic<bool> alive;
-};
-
-std::atomic<bool> GlobalStore::alive{true};
-
-GlobalStore& Global() {
-  static GlobalStore store;
-  return store;
-}
-
-/// Per-thread buffer cache. The trailing bool outlives the cache (it
-/// is trivially destructible), so releases that land during thread
-/// teardown fall back to the heap instead of touching a dead cache.
-struct ThreadCache {
-  std::unordered_map<std::size_t, std::vector<AlignedBuffer*>> buckets;
-  std::size_t cached_floats = 0;
-  ~ThreadCache();
-};
-
-thread_local bool t_cache_destroyed = false;
-
-ThreadCache::~ThreadCache() {
-  t_cache_destroyed = true;
-  // Hand the cached buffers to the shared store (worker threads die
-  // before the process does; their warm buffers stay useful).
-  if (GlobalStore::alive.load(std::memory_order_acquire)) {
-    GlobalStore& g = Global();
-    std::lock_guard<std::mutex> lock(g.mu);
-    for (auto& [n, list] : buckets) {
-      auto& dst = g.buckets[n];
-      for (AlignedBuffer* b : list) {
-        if (g.cached_floats + n <= kGlobalCapFloats) {
-          dst.push_back(b);
-          g.cached_floats += n;
-        } else {
-          delete b;
-        }
-      }
-    }
-  } else {
-    for (auto& [n, list] : buckets) {
-      (void)n;
-      for (AlignedBuffer* b : list) delete b;
-    }
-  }
-  buckets.clear();
-}
-
-ThreadCache* Cache() {
-  if (t_cache_destroyed) return nullptr;
-  thread_local ThreadCache cache;
-  return &cache;
-}
-
-bool PoolEnabledFromEnv() {
-  const char* env = std::getenv("TABREP_TENSOR_POOL");
-  if (env == nullptr) return true;
-  const std::string v(env);
-  return !(v == "0" || v == "false" || v == "off");
-}
-
-void ReleaseBuffer(AlignedBuffer* buffer) {
-  const std::size_t n = buffer->size();
-  if (!TensorPool::Enabled() || n == 0) {
-    delete buffer;
-    return;
-  }
-  ThreadCache* cache = Cache();
-  if (cache != nullptr && cache->cached_floats + n <= kThreadCapFloats) {
-    auto& bucket = cache->buckets[n];
-    if (bucket.size() < kThreadBucketCap) {
-      bucket.push_back(buffer);
-      cache->cached_floats += n;
-      return;
-    }
-  }
-  if (GlobalStore::alive.load(std::memory_order_acquire)) {
-    GlobalStore& g = Global();
-    std::lock_guard<std::mutex> lock(g.mu);
-    if (g.cached_floats + n <= kGlobalCapFloats) {
-      g.buckets[n].push_back(buffer);
-      g.cached_floats += n;
-      return;
-    }
-  }
-  delete buffer;
-}
-
-}  // namespace
-
-bool TensorPool::Enabled() {
-  static const bool enabled = PoolEnabledFromEnv();
-  return enabled;
-}
-
-const std::shared_ptr<AlignedBuffer>& TensorPool::Empty() {
-  static const std::shared_ptr<AlignedBuffer> empty =
-      std::make_shared<AlignedBuffer>();
-  return empty;
-}
-
-std::shared_ptr<AlignedBuffer> TensorPool::Acquire(std::size_t n) {
-  if (n == 0) return Empty();
-  if (Enabled()) {
-    ThreadCache* cache = Cache();
-    if (cache != nullptr) {
-      auto it = cache->buckets.find(n);
-      if (it != cache->buckets.end() && !it->second.empty()) {
-        AlignedBuffer* buffer = it->second.back();
-        it->second.pop_back();
-        cache->cached_floats -= n;
-        PoolHitCounter().Increment();
-        return std::shared_ptr<AlignedBuffer>(buffer, ReleaseBuffer);
-      }
-    }
-    GlobalStore& g = Global();
-    std::lock_guard<std::mutex> lock(g.mu);
-    auto it = g.buckets.find(n);
-    if (it != g.buckets.end() && !it->second.empty()) {
-      AlignedBuffer* buffer = it->second.back();
-      it->second.pop_back();
-      g.cached_floats -= n;
-      PoolHitCounter().Increment();
-      return std::shared_ptr<AlignedBuffer>(buffer, ReleaseBuffer);
-    }
-  }
-  PoolMissCounter().Increment();
-  return std::shared_ptr<AlignedBuffer>(
-      new AlignedBuffer(AlignedBuffer::Uninit{}, n), ReleaseBuffer);
-}
-
-void TensorPool::Clear() {
-  ThreadCache* cache = Cache();
-  if (cache != nullptr) {
-    for (auto& [n, list] : cache->buckets) {
-      (void)n;
-      for (AlignedBuffer* b : list) delete b;
-    }
-    cache->buckets.clear();
-    cache->cached_floats = 0;
-  }
-  GlobalStore& g = Global();
-  std::lock_guard<std::mutex> lock(g.mu);
-  for (auto& [n, list] : g.buckets) {
-    (void)n;
-    for (AlignedBuffer* b : list) delete b;
-  }
-  g.buckets.clear();
-  g.cached_floats = 0;
-}
-
-std::size_t TensorPool::CachedFloats() {
-  std::size_t total = 0;
-  ThreadCache* cache = Cache();
-  if (cache != nullptr) total += cache->cached_floats;
-  GlobalStore& g = Global();
-  std::lock_guard<std::mutex> lock(g.mu);
-  return total + g.cached_floats;
 }
 
 }  // namespace tabrep::mem

@@ -1,29 +1,16 @@
 #ifndef TABREP_TENSOR_ARENA_H_
 #define TABREP_TENSOR_ARENA_H_
 
-// tabrep::mem — allocation reuse for the hot path.
-//
-// Two complementary tools live here:
-//
-//  * Arena / ScratchScope: a per-thread bump allocator for transient
-//    scratch that never escapes the current call (packing staging, id
-//    buffers, score rows). A ScratchScope records the arena watermark
-//    on entry and rewinds it on exit, so steady-state hot loops reuse
-//    the same slab bytes with zero heap traffic.
-//
-//  * TensorPool: a size-bucketed recycler of AlignedBuffers that
-//    Tensor draws its storage from. Buffers released on a thread go to
-//    that thread's lock-free cache first and to a shared mutex-guarded
-//    overflow store second, so producer/consumer thread patterns
-//    (worker lanes allocating, the caller thread releasing) still
-//    recycle instead of hitting the heap.
+// tabrep::mem — a per-thread bump allocator for transient scratch
+// that never escapes the current call (packing staging, id buffers,
+// score rows). A ScratchScope records the arena watermark on entry and
+// rewinds it on exit, so steady-state hot loops reuse the same slab
+// bytes with zero heap traffic. Tensor storage does not come from here:
+// every Tensor owns a plain heap AlignedBuffer (see tensor/tensor.h).
 //
 // Counters (tabrep.mem.*): arena.bytes (cumulative bytes handed out —
-// workload-deterministic), arena.reserved_bytes gauge (slab memory
-// held), pool.hit / pool.miss (buffer reuse vs fresh heap
-// allocation). pool.miss is the library's "per-op heap allocation"
-// signal: tools/bench_diff gates it with an absolute slack because a
-// handful of first-touch misses move between threads run to run.
+// workload-deterministic) and the arena.reserved_bytes gauge (slab
+// memory held).
 
 #include <cstddef>
 #include <cstdint>
@@ -105,31 +92,6 @@ class ScratchScope {
 inline float* ArenaFloats(std::size_t n) {
   return Arena::ThreadLocal().AllocSpan<float>(n);
 }
-
-/// Size-bucketed AlignedBuffer recycler backing Tensor storage.
-/// Acquire returns a buffer of *exactly* `n` floats with unspecified
-/// contents; when its last Tensor reference dies the buffer returns to
-/// the pool instead of the heap. Disable with TABREP_TENSOR_POOL=0.
-class TensorPool {
- public:
-  /// A buffer of exactly `n` floats (contents unspecified). n == 0
-  /// returns the process-wide shared empty buffer.
-  static std::shared_ptr<AlignedBuffer> Acquire(std::size_t n);
-
-  /// The shared zero-length buffer every default Tensor points at.
-  static const std::shared_ptr<AlignedBuffer>& Empty();
-
-  /// False when TABREP_TENSOR_POOL=0/off disabled recycling (buffers
-  /// then go straight to the heap and misses count every allocation).
-  static bool Enabled();
-
-  /// Test hook: drops the calling thread's cached buffers and the
-  /// shared overflow store. Counters are left untouched.
-  static void Clear();
-
-  /// Floats currently cached (this thread + overflow store).
-  static std::size_t CachedFloats();
-};
 
 }  // namespace tabrep::mem
 

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "tensor/arena.h"
 #include "tensor/kernels.h"
 
 namespace tabrep {
@@ -27,15 +26,17 @@ std::string ShapeToString(const std::vector<int64_t>& shape) {
   return os.str();
 }
 
-Tensor::Tensor() : shape_(), data_(mem::TensorPool::Empty()) {}
+Tensor::Tensor() {
+  // Every default Tensor points at this one zero-length buffer.
+  static const std::shared_ptr<AlignedBuffer> empty =
+      std::make_shared<AlignedBuffer>();
+  data_ = empty;
+}
 
 Tensor::Tensor(std::vector<int64_t> shape)
     : shape_(std::move(shape)),
-      data_(mem::TensorPool::Acquire(static_cast<size_t>(ShapeNumel(shape_)))) {
-  // Pooled buffers arrive with stale contents; a Tensor(shape) is
-  // documented to be zero-filled either way.
-  kernels::Fill(data_->data(), static_cast<int64_t>(data_->size()), 0.0f);
-}
+      data_(std::make_shared<AlignedBuffer>(
+          static_cast<size_t>(ShapeNumel(shape_)))) {}
 
 Tensor Tensor::Full(std::vector<int64_t> shape, float value) {
   Tensor t(std::move(shape));
@@ -49,10 +50,7 @@ Tensor Tensor::FromVector(std::vector<int64_t> shape, std::vector<float> values)
       << " values";
   Tensor t;
   t.shape_ = std::move(shape);
-  t.data_ = mem::TensorPool::Acquire(values.size());
-  if (!values.empty()) {
-    std::memcpy(t.data_->data(), values.data(), values.size() * sizeof(float));
-  }
+  t.data_ = std::make_shared<AlignedBuffer>(values.data(), values.size());
   return t;
 }
 
@@ -83,11 +81,7 @@ int64_t Tensor::size(int64_t axis) const {
 Tensor Tensor::Clone() const {
   Tensor t;
   t.shape_ = shape_;
-  t.data_ = mem::TensorPool::Acquire(data_->size());
-  if (!data_->empty()) {
-    std::memcpy(t.data_->data(), data_->data(),
-                data_->size() * sizeof(float));
-  }
+  t.data_ = std::make_shared<AlignedBuffer>(data_->data(), data_->size());
   return t;
 }
 

@@ -18,7 +18,9 @@ namespace tabrep {
 /// shape-changing ops either reinterpret (Reshape) or copy.
 ///
 /// Storage is a 64-byte-aligned AlignedBuffer so the tensor/kernels.h
-/// layer can rely on cache-line-aligned bases.
+/// layer can rely on cache-line-aligned bases. Every non-empty tensor
+/// allocates its buffer from the heap, and the buffer is freed when the
+/// last tensor sharing it dies.
 ///
 /// This is the numeric substrate for the whole library: the nn/ and
 /// models/ layers build autograd on top of it (see tensor/autograd.h),
@@ -29,8 +31,7 @@ class Tensor {
   /// tensors share one static empty buffer (no allocation).
   Tensor();
 
-  /// Zero-filled tensor of the given shape (storage comes from
-  /// mem::TensorPool, so steady-state loops recycle buffers).
+  /// Zero-filled tensor of the given shape, with its own heap buffer.
   explicit Tensor(std::vector<int64_t> shape);
 
   Tensor(const Tensor&) = default;

@@ -1,21 +1,29 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 
 #include "obs/metrics.h"
 #include "tensor/arena.h"
 #include "tensor/tensor.h"
 
+// Counts this thread's unaligned operator new calls (the path
+// std::make_shared takes), so a test can check that a Tensor was built
+// without touching the heap.
+thread_local std::size_t t_heap_allocations = 0;
+
+void* operator new(std::size_t bytes) {
+  ++t_heap_allocations;
+  if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
 namespace tabrep {
 namespace {
-
-uint64_t PoolHits() {
-  return obs::Registry::Get().counter("tabrep.mem.pool.hit").value();
-}
-uint64_t PoolMisses() {
-  return obs::Registry::Get().counter("tabrep.mem.pool.miss").value();
-}
 
 TEST(ArenaTest, AllocationsAre64ByteAligned) {
   mem::ScratchScope scope;
@@ -83,79 +91,33 @@ TEST(ArenaTest, ArenaBytesCounterTracksRequests) {
   EXPECT_GE(bytes.value() - before, 1000u * sizeof(float));
 }
 
-TEST(TensorPoolTest, AcquireReturnsExactSize) {
-  for (std::size_t n : {1u, 17u, 64u, 1000u}) {
-    std::shared_ptr<AlignedBuffer> buf = mem::TensorPool::Acquire(n);
-    ASSERT_NE(buf, nullptr);
-    EXPECT_EQ(buf->size(), n);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(buf->data()) %
-                  AlignedBuffer::kAlignment,
-              0u);
+TEST(TensorStorageTest, StorageIs64ByteAligned) {
+  for (int64_t n : {1, 17, 64, 1000}) {
+    Tensor t({n});
+    ASSERT_EQ(t.numel(), n);
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(t.data()) % AlignedBuffer::kAlignment,
+              0u)
+        << n << " floats";
   }
 }
 
-TEST(TensorPoolTest, RecyclesReleasedBuffers) {
-  if (!mem::TensorPool::Enabled()) GTEST_SKIP() << "pool disabled via env";
-  mem::TensorPool::Clear();
-  Tensor t({4, 5});
-  const float* storage = t.data();
-  t = Tensor();  // release: the buffer goes back to the thread cache
-  const uint64_t hits_before = PoolHits();
-  Tensor u({4, 5});
-  EXPECT_EQ(u.data(), storage);  // the very same buffer came back
-  EXPECT_EQ(PoolHits(), hits_before + 1);
-}
-
-TEST(TensorPoolTest, RecycledTensorsAreZeroFilled) {
-  if (!mem::TensorPool::Enabled()) GTEST_SKIP() << "pool disabled via env";
-  mem::TensorPool::Clear();
+TEST(TensorStorageTest, NewTensorsAreZeroFilled) {
   Tensor t({8});
   for (int64_t i = 0; i < t.numel(); ++i) t.data()[i] = 123.0f;
-  t = Tensor();
-  Tensor u({8});  // recycled storage, but Tensor(shape) means zeros
+  t = Tensor();  // release the written buffer
+  Tensor u({8});  // same size, but Tensor(shape) means zeros
   for (int64_t i = 0; i < u.numel(); ++i) EXPECT_EQ(u[i], 0.0f);
 }
 
-TEST(TensorPoolTest, DifferentSizeMisses) {
-  if (!mem::TensorPool::Enabled()) GTEST_SKIP() << "pool disabled via env";
-  mem::TensorPool::Clear();
-  { Tensor t({17}); }  // released into the 17-float bucket
-  const uint64_t misses_before = PoolMisses();
-  Tensor u({16});  // no 16-float buffer cached: fresh allocation
-  EXPECT_EQ(PoolMisses(), misses_before + 1);
-}
-
-TEST(TensorPoolTest, ClearDropsCachedBuffers) {
-  if (!mem::TensorPool::Enabled()) GTEST_SKIP() << "pool disabled via env";
-  { Tensor t({32, 32}); }
-  EXPECT_GT(mem::TensorPool::CachedFloats(), 0u);
-  mem::TensorPool::Clear();
-  EXPECT_EQ(mem::TensorPool::CachedFloats(), 0u);
-}
-
-TEST(TensorPoolTest, DefaultTensorsShareOneEmptyBuffer) {
-  const long before = mem::TensorPool::Empty().use_count();
+TEST(TensorStorageTest, DefaultTensorsShareOneEmptyBuffer) {
+  Tensor warm;  // the shared empty buffer is created on first use
+  const std::size_t before = t_heap_allocations;
   Tensor a;
   Tensor b;
   // Both defaults alias the shared empty buffer instead of allocating.
-  EXPECT_EQ(mem::TensorPool::Empty().use_count(), before + 2);
+  EXPECT_EQ(t_heap_allocations, before);
   EXPECT_EQ(a.numel(), 0);
   EXPECT_EQ(b.numel(), 0);
-}
-
-TEST(TensorPoolTest, SteadyStateLoopStopsMissing) {
-  if (!mem::TensorPool::Enabled()) GTEST_SKIP() << "pool disabled via env";
-  mem::TensorPool::Clear();
-  // Warm up: the first iteration faults buffers in.
-  { Tensor a({16, 16}); Tensor b = a.Clone(); }
-  const uint64_t misses_before = PoolMisses();
-  const uint64_t hits_before = PoolHits();
-  for (int i = 0; i < 50; ++i) {
-    Tensor a({16, 16});
-    Tensor b = a.Clone();
-  }
-  EXPECT_EQ(PoolMisses(), misses_before);  // no fresh heap allocations
-  EXPECT_GE(PoolHits(), hits_before + 100);
 }
 
 }  // namespace

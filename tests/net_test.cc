@@ -706,16 +706,13 @@ TEST_F(NetFixture, ServerOptionsFromEnv) {
   setenv("TABREP_NET_MAX_QUEUE", "9", 1);
   setenv("TABREP_NET_MAX_INFLIGHT_PER_CONN", "3", 1);
   setenv("TABREP_SHARDS", "4", 1);
-  setenv("TABREP_STEAL_THRESHOLD", "13", 1);
   net::ServerOptions options = net::ServerOptions::FromEnv();
   EXPECT_EQ(options.max_queue, 9);
   EXPECT_EQ(options.max_inflight_per_conn, 3);
   EXPECT_EQ(options.shards, 4);
-  EXPECT_EQ(options.steal_threshold, 13);
   unsetenv("TABREP_NET_MAX_QUEUE");
   unsetenv("TABREP_NET_MAX_INFLIGHT_PER_CONN");
   unsetenv("TABREP_SHARDS");
-  unsetenv("TABREP_STEAL_THRESHOLD");
   net::ServerOptions defaults = net::ServerOptions::FromEnv();
   EXPECT_EQ(defaults.max_queue, net::ServerOptions{}.max_queue);
   EXPECT_EQ(defaults.shards, net::ServerOptions{}.shards);

@@ -11,8 +11,8 @@
 //     --max-total-regress=0.20    profile total_ms threshold
 //     --max-counter-regress=0.01  counter threshold
 //     --min-gate=50               noise floor (us hist / ms*1e-3 profile)
-//     --noisy-counter-slack=512   absolute growth allowed on tabrep.mem.* /
-//                                 tabrep.serve.* / tabrep.net.* counters
+//     --noisy-counter-slack=512   absolute growth allowed on tabrep.serve.* /
+//                                 tabrep.net.* / tabrep.cluster.* counters
 //                                 before gating
 //     --noisy-gauge-slack=0.2     absolute growth allowed on noisy-prefix
 //                                 gauges (rates/levels, e.g. the bench_s2

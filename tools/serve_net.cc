@@ -115,13 +115,12 @@ int main(int argc, char** argv) {
 
   net::ServerOptions options = net::ServerOptions::FromEnv();
   if (port >= 0) options.port = port;
-  if (shards >= 1) options.shards = shards;
 
-  // The cluster knobs come from the same env vars ServerOptions
-  // resolved; the --shards flag wins over both.
+  // The cluster knobs (TABREP_SHARDS, TABREP_STEAL_THRESHOLD and the
+  // per-shard encoder options) come from serve::ClusterOptionsFromEnv;
+  // the --shards flag wins over TABREP_SHARDS.
   serve::ClusterOptions copts_cluster = serve::ClusterOptionsFromEnv();
-  copts_cluster.shards = options.shards;
-  copts_cluster.steal_threshold = options.steal_threshold;
+  if (shards >= 1) copts_cluster.shards = shards;
   serve::Cluster cluster(&model, copts_cluster);
 
   net::Server server(&cluster, options);
