@@ -271,6 +271,18 @@ void BM_WordPieceEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_WordPieceEncode);
 
+/// Vocabulary training over the fixture corpus, as GetWorld() does it.
+void BM_WordPieceTrain(benchmark::State& state) {
+  MicroWorld& w = GetWorld();
+  WordPieceTrainerOptions vopts;
+  vopts.vocab_size = 2000;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(BuildCorpusVocab(w.corpus, vopts));
+  }
+  state.counters["vocab"] = static_cast<double>(w.tokenizer->vocab().size());
+}
+BENCHMARK(BM_WordPieceTrain)->Unit(benchmark::kMillisecond);
+
 void BM_SerializeTable(benchmark::State& state) {
   MicroWorld& w = GetWorld();
   size_t i = 0;

@@ -585,7 +585,9 @@ void Server::DrainCompletions() {
     std::lock_guard<std::mutex> lock(completion_mu_);
     ready.swap(ready_);
   }
+  const auto drained = std::chrono::steady_clock::now();
   for (ResponseSlot& done : ready) {
+    done.trace->drained = drained;
     global_inflight_.fetch_sub(1, std::memory_order_relaxed);
     done.trace->status =
         done.result->ok() ? StatusCode::kOk : done.result->status().code();

@@ -41,6 +41,10 @@ StageBreakdown ComputeStages(const RequestContext& ctx) {
         std::chrono::duration<double, std::micro>(last - ctx.received).count();
     out.total_us = total < 0.0 ? 0.0 : total;
   }
+  if (ctx.encode_end != RequestContext::TimePoint{}) {
+    RequestContext::TimePoint from = ctx.encode_end;
+    out.handoff_us = StageUs(&from, ctx.drained);
+  }
   return out;
 }
 
@@ -61,6 +65,8 @@ void RecordStageMetrics(const RequestContext& ctx) {
       Registry::Get().histogram("tabrep.serve.stage.serialize.us");
   static Histogram& write =
       Registry::Get().histogram("tabrep.serve.stage.write.us");
+  static Histogram& handoff =
+      Registry::Get().histogram("tabrep.serve.stage.handoff.us");
 
   const StageBreakdown stages = ComputeStages(ctx);
   admission.Record(stages.admission_us);
@@ -70,6 +76,7 @@ void RecordStageMetrics(const RequestContext& ctx) {
   inference.Record(stages.inference_us);
   serialize.Record(stages.serialize_us);
   write.Record(stages.write_us);
+  handoff.Record(stages.handoff_us);
 }
 
 AccessLog::AccessLog(const std::string& path) {
@@ -126,6 +133,8 @@ std::string AccessLog::FormatLine(const RequestContext& ctx) {
   line += JsonNumber(stages.serialize_us);
   line += ",\"write\":";
   line += JsonNumber(stages.write_us);
+  line += ",\"handoff\":";
+  line += JsonNumber(stages.handoff_us);
   line += "}}";
   return line;
 }

@@ -21,6 +21,11 @@
 //   serialized    event loop   response payload bytes ready
 //   written       event loop   response bytes handed to the socket
 //
+// plus one side stamp inside the serialize stage, not a link of the
+// chain:
+//
+//   drained       event loop   completion picked up by DrainCompletions
+//
 // Stage durations are consecutive stamp deltas, clamped to >= 0 (a
 // coalesced request can attach to a Pending after its batch was
 // dequeued, making its own queue-wait negative; zero is the honest
@@ -61,6 +66,7 @@ struct RequestContext {
   TimePoint dequeued{};
   TimePoint encode_start{};
   TimePoint encode_end{};
+  TimePoint drained{};  // side stamp: splits serialize, see handoff_us
   TimePoint serialized{};
   TimePoint written{};
 
@@ -79,7 +85,9 @@ struct RequestContext {
 /// an unstamped stage (default-constructed TimePoint) contributes 0
 /// and does not advance the chain. `serialize` deliberately includes
 /// the completion handoff (dispatcher callback -> eventfd -> event
-/// loop) so the stage sum accounts for the full request path.
+/// loop) so the stage sum accounts for the full request path;
+/// `handoff_us` reports that part of it on its own and is not added
+/// into `total_us`.
 struct StageBreakdown {
   double admission_us = 0.0;  // received  -> admitted
   double decode_us = 0.0;     // admitted  -> decoded
@@ -89,12 +97,17 @@ struct StageBreakdown {
   double serialize_us = 0.0;  // encode_end -> serialized (incl. handoff)
   double write_us = 0.0;      // serialized -> written
   double total_us = 0.0;      // received  -> last stamped boundary
+  /// encode_end -> drained, clamped to >= 0; 0 unless both are
+  /// stamped. A sub-stage of serialize_us: the rest of serialize_us
+  /// is the wait behind earlier completions of the same drain and the
+  /// payload encoding.
+  double handoff_us = 0.0;
 };
 
 StageBreakdown ComputeStages(const RequestContext& ctx);
 
 /// Records the breakdown into the tabrep.serve.stage.{admission,
-/// decode,queue,batch,inference,serialize,write}.us histograms. The
+/// decode,queue,batch,inference,serialize,write,handoff}.us histograms. The
 /// caller decides policy; net::Server records only submitted requests
 /// that were answered OK, so sheds cannot dilute the stage means.
 void RecordStageMetrics(const RequestContext& ctx);

@@ -1,5 +1,6 @@
 #include "text/vocab.h"
 
+#include <algorithm>
 #include <fstream>
 
 #include "common/logging.h"
@@ -21,23 +22,27 @@ Vocab Vocab::NewWithSpecials() {
 }
 
 int32_t Vocab::AddToken(std::string_view token) {
-  auto it = index_.find(std::string(token));
-  if (it != index_.end()) return it->second;
+  const int32_t found = Find(token);
+  if (found >= 0) return found;
   const int32_t id = static_cast<int32_t>(tokens_.size());
   tokens_.emplace_back(token);
   index_.emplace(tokens_.back(), id);
+  max_token_size_ = std::max(max_token_size_, token.size());
   return id;
 }
 
+int32_t Vocab::Find(std::string_view token) const {
+  auto it = index_.find(token);
+  return it != index_.end() ? it->second : -1;
+}
+
 int32_t Vocab::Id(std::string_view token) const {
-  auto it = index_.find(std::string(token));
-  if (it != index_.end()) return it->second;
+  const int32_t found = Find(token);
+  if (found >= 0) return found;
   return has_specials_ ? SpecialTokens::kUnkId : -1;
 }
 
-bool Vocab::Contains(std::string_view token) const {
-  return index_.count(std::string(token)) > 0;
-}
+bool Vocab::Contains(std::string_view token) const { return Find(token) >= 0; }
 
 const std::string& Vocab::Token(int32_t id) const {
   TABREP_CHECK(id >= 0 && id < size()) << "Vocab::Token: id " << id;

@@ -1,7 +1,9 @@
 #ifndef TABREP_TEXT_VOCAB_H_
 #define TABREP_TEXT_VOCAB_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -44,6 +46,9 @@ class Vocab {
   /// Adds `token` if absent; returns its id either way.
   int32_t AddToken(std::string_view token);
 
+  /// Id of `token`, or -1 if absent. Allocation-free.
+  int32_t Find(std::string_view token) const;
+
   /// Id of `token`, or kUnkId if absent (or -1 when the vocab has no
   /// [UNK], i.e. was default-constructed without specials).
   int32_t Id(std::string_view token) const;
@@ -57,6 +62,9 @@ class Vocab {
 
   int32_t size() const { return static_cast<int32_t>(tokens_.size()); }
 
+  /// Byte length of the longest token (0 when empty).
+  size_t max_token_size() const { return max_token_size_; }
+
   /// True for ids 0..5 in a specials-seeded vocab.
   bool IsSpecial(int32_t id) const {
     return has_specials_ && id >= 0 && id <= SpecialTokens::kEmptyId;
@@ -67,8 +75,18 @@ class Vocab {
   static Result<Vocab> Load(const std::string& path);
 
  private:
+  /// Hashes any string-like key, so string_view probes of index_
+  /// build no std::string.
+  struct Hash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
   std::vector<std::string> tokens_;
-  std::unordered_map<std::string, int32_t> index_;
+  std::unordered_map<std::string, int32_t, Hash, std::equal_to<>> index_;
+  size_t max_token_size_ = 0;
   bool has_specials_ = false;
 };
 

@@ -1,7 +1,8 @@
 #include "text/wordpiece.h"
 
 #include <algorithm>
-#include <map>
+#include <tuple>
+#include <unordered_map>
 
 #include "common/logging.h"
 
@@ -9,9 +10,11 @@ namespace tabrep {
 
 namespace {
 
-/// A word as a sequence of current subword symbols ("p", "##r", ...).
+/// A word as a sequence of current subword symbols. A symbol is the
+/// Vocab id of its text ("p", "##r", "pr", ...), so equal texts are one
+/// symbol however they were merged.
 struct SymbolWord {
-  std::vector<std::string> symbols;
+  std::vector<int32_t> symbols;
   int64_t count = 0;
 };
 
@@ -22,6 +25,45 @@ std::string MergeSymbols(const std::string& a, const std::string& b) {
   if (tail.size() >= 2 && tail.substr(0, 2) == "##") tail.remove_prefix(2);
   return a + std::string(tail);
 }
+
+uint64_t PairKey(int32_t a, int32_t b) {
+  return (static_cast<uint64_t>(static_cast<uint32_t>(a)) << 32) |
+         static_cast<uint32_t>(b);
+}
+int32_t PairFirst(uint64_t key) { return static_cast<int32_t>(key >> 32); }
+int32_t PairSecond(uint64_t key) {
+  return static_cast<int32_t>(key & 0xffffffffu);
+}
+
+/// Pair and symbol counts over the current words, kept up to date one
+/// word at a time. A pair whose count reaches 0 is erased, so the live
+/// pairs are exactly those a full recount would find.
+class MergeCounts {
+ public:
+  /// Adds (sign = +1) or removes (sign = -1) one word's contribution.
+  void Apply(const SymbolWord& sw, int64_t sign) {
+    const int64_t c = sign * sw.count;
+    const std::vector<int32_t>& s = sw.symbols;
+    for (size_t i = 0; i < s.size(); ++i) {
+      if (static_cast<size_t>(s[i]) >= symbol_.size()) {
+        symbol_.resize(static_cast<size_t>(s[i]) + 1, 0);
+      }
+      symbol_[static_cast<size_t>(s[i])] += c;
+      if (i + 1 < s.size()) {
+        auto it = pair_.try_emplace(PairKey(s[i], s[i + 1]), 0).first;
+        it->second += c;
+        if (it->second == 0) pair_.erase(it);
+      }
+    }
+  }
+
+  int64_t symbol(int32_t id) const { return symbol_[static_cast<size_t>(id)]; }
+  const std::unordered_map<uint64_t, int64_t>& pairs() const { return pair_; }
+
+ private:
+  std::vector<int64_t> symbol_;
+  std::unordered_map<uint64_t, int64_t> pair_;
+};
 
 }  // namespace
 
@@ -46,68 +88,97 @@ Vocab WordPieceTrainer::Train() const {
     SymbolWord sw;
     sw.count = count;
     for (size_t i = 0; i < word.size(); ++i) {
-      std::string sym = i == 0 ? std::string(1, word[i])
-                               : "##" + std::string(1, word[i]);
-      sw.symbols.push_back(sym);
       // Register both forms of the character so greedy segmentation of
       // unseen words never fails on an in-alphabet character.
-      vocab.AddToken(std::string(1, word[i]));
-      vocab.AddToken("##" + std::string(1, word[i]));
+      const int32_t head = vocab.AddToken(std::string(1, word[i]));
+      const int32_t tail = vocab.AddToken("##" + std::string(1, word[i]));
+      sw.symbols.push_back(i == 0 ? head : tail);
     }
     words.push_back(std::move(sw));
   }
 
-  // Iteratively merge the best-scoring adjacent pair until the budget
-  // is reached or no pair repeats.
-  while (vocab.size() < options_.vocab_size) {
-    std::map<std::pair<std::string, std::string>, int64_t> pair_counts;
-    std::unordered_map<std::string, int64_t> symbol_counts;
-    for (const SymbolWord& sw : words) {
-      for (size_t i = 0; i < sw.symbols.size(); ++i) {
-        symbol_counts[sw.symbols[i]] += sw.count;
-        if (i + 1 < sw.symbols.size()) {
-          pair_counts[{sw.symbols[i], sw.symbols[i + 1]}] += sw.count;
-        }
-      }
+  // Counts, plus for each pair the words it was ever seen in (a word
+  // may since have lost the pair, so each listed word is re-checked).
+  MergeCounts counts;
+  std::unordered_map<uint64_t, std::vector<int32_t>> pair_words;
+  for (size_t w = 0; w < words.size(); ++w) {
+    counts.Apply(words[w], +1);
+    const std::vector<int32_t>& s = words[w].symbols;
+    for (size_t i = 0; i + 1 < s.size(); ++i) {
+      pair_words[PairKey(s[i], s[i + 1])].push_back(static_cast<int32_t>(w));
     }
-    if (pair_counts.empty()) break;
+  }
+  std::vector<int64_t> visited(words.size(), -1);
+  auto texts = [&vocab](uint64_t key) {
+    return std::tie(vocab.Token(PairFirst(key)), vocab.Token(PairSecond(key)));
+  };
 
-    const std::pair<std::string, std::string>* best = nullptr;
+  // Iteratively merge the best-scoring adjacent pair until the budget
+  // is reached or no pair repeats. Only the words holding the merged
+  // pair are rewritten and recounted.
+  for (int64_t merge = 0; vocab.size() < options_.vocab_size; ++merge) {
+    // The best score wins; ties go to the pair whose texts sort first,
+    // as if the pairs were visited in (text, text) order.
+    uint64_t best = 0;
     double best_score = -1.0;
-    for (const auto& [pair, count] : pair_counts) {
+    for (const auto& [key, count] : counts.pairs()) {
       if (count < 2) continue;  // merging singletons only memorizes words
+      const int32_t a = PairFirst(key), b = PairSecond(key);
       double score;
       if (options_.scoring == MergeScoring::kFrequency) {
         score = static_cast<double>(count);
       } else {
-        const double denom =
-            static_cast<double>(symbol_counts[pair.first]) *
-            static_cast<double>(symbol_counts[pair.second]);
+        const double denom = static_cast<double>(counts.symbol(a)) *
+                             static_cast<double>(counts.symbol(b));
         score = denom > 0 ? static_cast<double>(count) / denom : 0.0;
       }
-      if (score > best_score) {
+      if (score > best_score ||
+          (score == best_score && texts(key) < texts(best))) {
         best_score = score;
-        best = &pair;
+        best = key;
       }
     }
-    if (!best) break;
+    if (best_score < 0.0) break;
 
-    const std::string merged = MergeSymbols(best->first, best->second);
-    vocab.AddToken(merged);
-    // Apply the merge in place.
-    for (SymbolWord& sw : words) {
-      std::vector<std::string> next;
-      next.reserve(sw.symbols.size());
-      for (size_t i = 0; i < sw.symbols.size(); ++i) {
-        if (i + 1 < sw.symbols.size() && sw.symbols[i] == best->first &&
-            sw.symbols[i + 1] == best->second) {
-          next.push_back(merged);
-          ++i;
+    const int32_t first = PairFirst(best), second = PairSecond(best);
+    const int32_t merged =
+        vocab.AddToken(MergeSymbols(vocab.Token(first), vocab.Token(second)));
+    // Apply the merge, left to right without overlap, in every word
+    // that holds the pair.
+    std::vector<int32_t> candidates;
+    candidates.swap(pair_words[best]);
+    for (int32_t w : candidates) {
+      if (visited[static_cast<size_t>(w)] == merge) continue;
+      visited[static_cast<size_t>(w)] = merge;
+      SymbolWord& sw = words[static_cast<size_t>(w)];
+      std::vector<int32_t>& s = sw.symbols;
+      auto holds = [&](size_t i) {
+        return i + 1 < s.size() && s[i] == first && s[i + 1] == second;
+      };
+      size_t i = 0;
+      while (i < s.size() && !holds(i)) ++i;
+      if (i == s.size()) continue;  // lost the pair to an earlier merge
+      counts.Apply(sw, -1);
+      size_t out = i;
+      while (i < s.size()) {
+        if (holds(i)) {
+          s[out++] = merged;
+          i += 2;
         } else {
-          next.push_back(sw.symbols[i]);
+          s[out++] = s[i++];
         }
       }
-      sw.symbols = std::move(next);
+      s.resize(out);
+      counts.Apply(sw, +1);
+      // Index the pairs this rewrite may have created. A left-to-right
+      // pass leaves no (first, second); if one were left, the word must
+      // stay findable or choosing that pair again would never end.
+      for (size_t j = 0; j + 1 < s.size(); ++j) {
+        if (s[j] == merged || s[j + 1] == merged ||
+            (s[j] == first && s[j + 1] == second)) {
+          pair_words[PairKey(s[j], s[j + 1])].push_back(w);
+        }
+      }
     }
   }
   return vocab;
@@ -129,19 +200,21 @@ std::vector<int32_t> WordPieceTokenizer::EncodeWord(
     return {SpecialTokens::kUnkId};
   }
   std::vector<int32_t> pieces;
+  std::string candidate;  // "##" + the piece, for continuation pieces
   size_t start = 0;
   while (start < word.size()) {
-    size_t end = word.size();
+    // Longest match first, from the longest length any token has.
+    const size_t prefix = start == 0 ? 0 : 2;
+    const size_t longest = vocab_.max_token_size();
+    if (longest <= prefix) return {SpecialTokens::kUnkId};
+    size_t end = std::min(word.size(), start + (longest - prefix));
+    candidate.assign(prefix, '#');
+    candidate.append(word.substr(start, end - start));
     int32_t found = -1;
-    // Longest match first.
     while (end > start) {
-      std::string candidate =
-          (start == 0 ? std::string() : std::string("##")) +
-          std::string(word.substr(start, end - start));
-      if (vocab_.Contains(candidate)) {
-        found = vocab_.Id(candidate);
-        break;
-      }
+      found = vocab_.Find(candidate);
+      if (found >= 0) break;
+      candidate.pop_back();
       --end;
     }
     if (found < 0) {

@@ -42,6 +42,7 @@ RequestContext MakeStampedContext() {
   ctx.dequeued = t0 + microseconds(130);
   ctx.encode_start = t0 + microseconds(180);
   ctx.encode_end = t0 + microseconds(680);
+  ctx.drained = t0 + microseconds(692);
   ctx.serialized = t0 + microseconds(700);
   ctx.written = t0 + microseconds(705);
   ctx.batch_size = 4;
@@ -61,6 +62,7 @@ TEST(ComputeStagesTest, ConsecutiveDeltasInMicroseconds) {
   EXPECT_DOUBLE_EQ(b.serialize_us, 20.0);
   EXPECT_DOUBLE_EQ(b.write_us, 5.0);
   EXPECT_DOUBLE_EQ(b.total_us, 705.0);
+  EXPECT_DOUBLE_EQ(b.handoff_us, 12.0);  // inside serialize, not added
   // The stage sum IS the total when every stamp is present: no
   // unattributed gap (the >= 80% bench criterion measures exactly this).
   const double sum = b.admission_us + b.decode_us + b.queue_us + b.batch_us +
@@ -98,6 +100,39 @@ TEST(ComputeStagesTest, UnstampedStagesReadZeroAndDoNotAdvanceChain) {
   EXPECT_DOUBLE_EQ(b.total_us, 42.0);
 }
 
+TEST(ComputeStagesTest, HandoffIsASubStageOfSerialize) {
+  // `drained` splits serialize without joining the chain: serialize and
+  // the total read the same with or without it.
+  RequestContext ctx = MakeStampedContext();
+  ctx.drained = {};
+  const obs::StageBreakdown unstamped = obs::ComputeStages(ctx);
+  EXPECT_DOUBLE_EQ(unstamped.handoff_us, 0.0);
+  EXPECT_DOUBLE_EQ(unstamped.serialize_us, 20.0);
+  EXPECT_DOUBLE_EQ(unstamped.total_us, 705.0);
+
+  // A drain stamped before encode_end (clock reads on two threads)
+  // clamps to 0 and leaves the chain alone.
+  ctx.drained = ctx.encode_end - microseconds(3);
+  const obs::StageBreakdown early = obs::ComputeStages(ctx);
+  EXPECT_DOUBLE_EQ(early.handoff_us, 0.0);
+  EXPECT_DOUBLE_EQ(early.serialize_us, 20.0);
+  EXPECT_DOUBLE_EQ(early.total_us, 705.0);
+
+  // Without encode_end there is nothing to measure the handoff from,
+  // and the closed-connection case (drained, never serialized) keeps
+  // its handoff while serialize and write read 0.
+  RequestContext no_encode = MakeStampedContext();
+  no_encode.encode_end = {};
+  EXPECT_DOUBLE_EQ(obs::ComputeStages(no_encode).handoff_us, 0.0);
+  RequestContext closed = MakeStampedContext();
+  closed.serialized = {};
+  closed.written = {};
+  const obs::StageBreakdown b = obs::ComputeStages(closed);
+  EXPECT_DOUBLE_EQ(b.handoff_us, 12.0);
+  EXPECT_DOUBLE_EQ(b.serialize_us, 0.0);
+  EXPECT_DOUBLE_EQ(b.total_us, 680.0);
+}
+
 TEST(ComputeStagesTest, EmptyContextIsAllZero) {
   const obs::StageBreakdown b = obs::ComputeStages(RequestContext{});
   EXPECT_DOUBLE_EQ(b.total_us, 0.0);
@@ -123,10 +158,11 @@ TEST(AccessLogTest, FormatLineIsParsableJsonWithAllKeys) {
   const obs::JsonValue* stages = doc->Find("stages_us");
   ASSERT_NE(stages, nullptr);
   for (const char* key : {"admission", "decode", "queue", "batch",
-                          "inference", "serialize", "write"}) {
+                          "inference", "serialize", "write", "handoff"}) {
     ASSERT_NE(stages->Find(key), nullptr) << key;
   }
   EXPECT_DOUBLE_EQ(stages->Find("inference")->AsNumber(), 500.0);
+  EXPECT_DOUBLE_EQ(stages->Find("handoff")->AsNumber(), 12.0);
 }
 
 TEST(AccessLogTest, DefaultConstructedIsDisabledAndAppendIsANoOp) {
@@ -304,6 +340,13 @@ TEST_F(ReqTraceFixture, ServerWritesParsableAccessLogWithUniqueRequestIds) {
     if (doc->Find("cache_hit")->AsBool()) ++cache_hits;
     EXPECT_EQ(doc->Find("status")->AsString(), "OK");
     EXPECT_GE(doc->Find("total_us")->AsNumber(), 0.0);
+    // The event loop stamped `drained` between encode_end and
+    // serialized, so the handoff is part of the serialize stage.
+    const obs::JsonValue* stages = doc->Find("stages_us");
+    ASSERT_NE(stages->Find("handoff"), nullptr) << line;
+    EXPECT_GE(stages->Find("handoff")->AsNumber(), 0.0);
+    EXPECT_LE(stages->Find("handoff")->AsNumber(),
+              stages->Find("serialize")->AsNumber());
   }
   EXPECT_EQ(lines, 6);
   EXPECT_EQ(ids.size(), 6u) << "request ids must be process-unique";

@@ -264,7 +264,7 @@ void PrintAttribution(const StageSnapshot& before, const StageSnapshot& after,
     std::printf("  %-34s %10.0f %12.1f\n", name.c_str(), dc, mean);
     if (name == "tabrep.net.request.us") {
       request_mean = mean;
-    } else {
+    } else if (name != "tabrep.serve.stage.handoff.us") {  // in serialize
       stage_mean_total += mean;
     }
   }
