@@ -22,6 +22,17 @@ obs::Histogram& OptimizerStepHistogram() {
   return duration_us;
 }
 
+/// Zero-filled state shaped like each parameter, made on the first
+/// Step so an optimizer that never steps holds none.
+void EnsureState(const std::vector<ag::Variable*>& params,
+                 std::vector<Tensor>* state) {
+  if (state->size() == params.size()) return;
+  state->reserve(params.size());
+  for (ag::Variable* p : params) {
+    state->push_back(Tensor::Zeros(p->value().shape()));
+  }
+}
+
 }  // namespace
 
 void Optimizer::ZeroGrad() {
@@ -29,19 +40,13 @@ void Optimizer::ZeroGrad() {
 }
 
 Sgd::Sgd(std::vector<ag::Variable*> params, float lr, float momentum)
-    : Optimizer(std::move(params), lr), momentum_(momentum) {
-  if (momentum_ > 0.0f) {
-    velocity_.reserve(params_.size());
-    for (ag::Variable* p : params_) {
-      velocity_.push_back(Tensor::Zeros(p->value().shape()));
-    }
-  }
-}
+    : Optimizer(std::move(params), lr), momentum_(momentum) {}
 
 void Sgd::Step() {
   TABREP_TRACE_SPAN("nn.optimizer.step");
   CountOptimizerStep();
   obs::ScopedTimer timer(OptimizerStepHistogram());
+  if (momentum_ > 0.0f) EnsureState(params_, &velocity_);
   for (size_t i = 0; i < params_.size(); ++i) {
     ag::Variable* p = params_[i];
     const Tensor& g = p->grad();
@@ -57,19 +62,14 @@ void Sgd::Step() {
 }
 
 Adam::Adam(std::vector<ag::Variable*> params, float lr, AdamOptions options)
-    : Optimizer(std::move(params), lr), options_(options) {
-  m_.reserve(params_.size());
-  v_.reserve(params_.size());
-  for (ag::Variable* p : params_) {
-    m_.push_back(Tensor::Zeros(p->value().shape()));
-    v_.push_back(Tensor::Zeros(p->value().shape()));
-  }
-}
+    : Optimizer(std::move(params), lr), options_(options) {}
 
 void Adam::Step() {
   TABREP_TRACE_SPAN("nn.optimizer.step");
   CountOptimizerStep();
   obs::ScopedTimer timer(OptimizerStepHistogram());
+  EnsureState(params_, &m_);
+  EnsureState(params_, &v_);
   ++step_;
   const float b1 = options_.beta1;
   const float b2 = options_.beta2;

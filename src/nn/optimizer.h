@@ -40,7 +40,7 @@ class Sgd : public Optimizer {
 
  private:
   float momentum_;
-  std::vector<Tensor> velocity_;
+  std::vector<Tensor> velocity_;  // made on the first Step
 };
 
 /// Adam/AdamW hyperparameters.
@@ -60,6 +60,7 @@ class Adam : public Optimizer {
  private:
   AdamOptions options_;
   int64_t step_ = 0;
+  // First and second moments, made on the first Step.
   std::vector<Tensor> m_;
   std::vector<Tensor> v_;
 };

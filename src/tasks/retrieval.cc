@@ -200,9 +200,7 @@ FineTuneReport RetrievalTask::Train(
     const TableCorpus& corpus,
     const std::vector<RetrievalExample>& examples) {
   TABREP_CHECK(!examples.empty());
-  model_->SetTraining(true);
-  query_proj_.SetTraining(true);
-  table_proj_.SetTraining(true);
+  SetTraining(true);
   std::vector<ag::Variable*> params;
   if (!config_.freeze_encoder) params = model_->Parameters();
   for (ag::Variable* p : query_proj_.Parameters()) params.push_back(p);
@@ -273,32 +271,35 @@ FineTuneReport RetrievalTask::Train(
   return report.Build();
 }
 
-Tensor RetrievalTask::EmbedQuery(const std::string& query) {
-  model_->SetTraining(false);
-  query_proj_.SetTraining(false);
+Tensor RetrievalTask::EncodeQuery(const std::string& query) {
   Rng rng(config_.seed + 800);
-  Tensor out;
-  {
-    ag::NoGradScope no_grad;  // inference: graph-free encode
-    out = ForwardQuery(query, rng).value().Clone();
-  }
-  model_->SetTraining(true);
-  query_proj_.SetTraining(true);
+  ag::NoGradScope no_grad;  // inference: graph-free encode
+  return ForwardQuery(query, rng).value().Clone();
+}
+
+Tensor RetrievalTask::EmbedQuery(const std::string& query) {
+  SetTraining(false);
+  Tensor out = EncodeQuery(query);
+  SetTraining(true);
   return out;
 }
 
 Tensor RetrievalTask::EmbedTable(const Table& table) {
-  model_->SetTraining(false);
-  table_proj_.SetTraining(false);
+  SetTraining(false);
   Rng rng(config_.seed + 801);
   Tensor out;
   {
     ag::NoGradScope no_grad;  // inference: graph-free encode
     out = ForwardTable(table, rng).value().Clone();
   }
-  model_->SetTraining(true);
-  table_proj_.SetTraining(true);
+  SetTraining(true);
   return out;
+}
+
+void RetrievalTask::SetTraining(bool training) {
+  model_->SetTraining(training);
+  query_proj_.SetTraining(training);
+  table_proj_.SetTraining(training);
 }
 
 Tensor RetrievalTask::EmbedCorpus(const TableCorpus& corpus) {
@@ -316,7 +317,10 @@ Tensor RetrievalTask::EmbedCorpus(const TableCorpus& corpus) {
   return rows;
 }
 
-void RetrievalTask::Fingerprint(const TableCorpus& corpus, uint64_t* weights,
+void RetrievalTask::Fingerprint(const TableCorpus& corpus,
+                                const std::vector<const std::string*>& queries,
+                                std::vector<Tensor>* embedded,
+                                uint64_t* weights,
                                 std::vector<uint64_t>* tables) {
   // Every parameter cut into blocks of at most kWeightBlockFloats.
   struct Block {
@@ -337,18 +341,29 @@ void RetrievalTask::Fingerprint(const TableCorpus& corpus, uint64_t* weights,
   const int64_t n = corpus.size();
   std::vector<uint64_t> block_hash(blocks.size());
   tables->assign(static_cast<size_t>(n), 0);
-  // One fork-join for both: the weight blocks first, then kTableGrain
-  // tables per job.
-  const int64_t jobs = num_blocks + (n + kTableGrain - 1) / kTableGrain;
+  const int64_t num_queries = static_cast<int64_t>(queries.size());
+  embedded->assign(queries.size(), Tensor());
+  // One fork-join for all three: the query encodes first (the longest
+  // jobs, so they start first), then the weight blocks, then
+  // kTableGrain tables per job. An encode runs inside its job, so its
+  // own ParallelFor calls replay their chunks inline and the result is
+  // bitwise EmbedQuery's at any thread count.
+  const int64_t first_table_job = num_queries + num_blocks;
+  const int64_t jobs = first_table_job + (n + kTableGrain - 1) / kTableGrain;
   runtime::ParallelFor(0, jobs, 1, [&](int64_t lo, int64_t hi) {
     for (int64_t job = lo; job < hi; ++job) {
-      if (job < num_blocks) {
-        const Block& b = blocks[static_cast<size_t>(job)];
-        block_hash[static_cast<size_t>(job)] = MixBytes(
+      if (job < num_queries) {
+        (*embedded)[static_cast<size_t>(job)] =
+            EncodeQuery(*queries[static_cast<size_t>(job)]);
+        continue;
+      }
+      if (job < first_table_job) {
+        const Block& b = blocks[static_cast<size_t>(job - num_queries)];
+        block_hash[static_cast<size_t>(job - num_queries)] = MixBytes(
             kHashSeed, b.data, static_cast<size_t>(b.floats) * sizeof(float));
         continue;
       }
-      const int64_t begin = (job - num_blocks) * kTableGrain;
+      const int64_t begin = (job - first_table_job) * kTableGrain;
       for (int64_t t = begin; t < std::min(n, begin + kTableGrain); ++t) {
         (*tables)[static_cast<size_t>(t)] =
             TableFingerprint(corpus.tables[static_cast<size_t>(t)]);
@@ -360,59 +375,52 @@ void RetrievalTask::Fingerprint(const TableCorpus& corpus, uint64_t* weights,
   *weights = h;
 }
 
-const Tensor& RetrievalTask::SyncIndex(const TableCorpus& corpus) {
+const Tensor& RetrievalTask::SyncIndex(
+    const TableCorpus& corpus, const std::vector<const std::string*>& queries,
+    std::vector<Tensor>* embedded) {
+  // Eval mode for the whole call: the query encodes read the modules
+  // while other lanes hash their parameters, so no job may toggle it.
+  SetTraining(false);
   uint64_t weights = 0;
   std::vector<uint64_t> tables;
-  Fingerprint(corpus, &weights, &tables);
-  if (weights == index_.weights && tables == index_.tables) {
-    return index_.rows;
+  Fingerprint(corpus, queries, embedded, &weights, &tables);
+  if (weights != index_.weights || tables != index_.tables) {
+    index_.rows = EmbedCorpus(corpus);
+    index_.weights = weights;
+    index_.tables = std::move(tables);
   }
-  model_->SetTraining(false);
-  table_proj_.SetTraining(false);
-  index_.rows = EmbedCorpus(corpus);
-  model_->SetTraining(true);
-  table_proj_.SetTraining(true);
-  index_.weights = weights;
-  index_.tables = std::move(tables);
+  SetTraining(true);
   return index_.rows;
 }
 
 RankingReport RetrievalTask::Evaluate(
     const TableCorpus& corpus, const std::vector<RetrievalExample>& examples) {
-  const Tensor& index = SyncIndex(corpus);
   const int64_t n = corpus.size();
-  // Each query is embedded with the per-call rng EmbedQuery uses (eval
-  // mode never draws from it) and ranked against the index in its own
-  // chunk.
-  model_->SetTraining(false);
-  query_proj_.SetTraining(false);
+  // Every query is encoded beside the index check, then ranked against
+  // the index after the join (no query encode on an empty corpus).
+  std::vector<const std::string*> queries;
+  if (n > 0) {
+    for (const RetrievalExample& ex : examples) queries.push_back(&ex.query);
+  }
+  std::vector<Tensor> embedded;
+  const Tensor& index = SyncIndex(corpus, queries, &embedded);
   std::vector<int64_t> ranks(examples.size(), 0);
-  runtime::ParallelFor(
-      0, n > 0 ? static_cast<int64_t>(examples.size()) : 0, 1,
-      [&](int64_t lo, int64_t hi) {
-        ag::NoGradScope no_grad;  // eval: graph-free encode
-        for (int64_t i = lo; i < hi; ++i) {
-          const RetrievalExample& ex = examples[static_cast<size_t>(i)];
-          Rng rng(config_.seed + 800);
-          const ag::Variable q = ForwardQuery(ex.query, rng);
-          const Tensor scores = ops::MatMulTransposedB(q.value(), index);
-          ranks[static_cast<size_t>(i)] =
-              RankOf(scores.data(), n, ex.relevant_table);
-        }
-      });
-  model_->SetTraining(true);
-  query_proj_.SetTraining(true);
+  for (size_t i = 0; i < embedded.size(); ++i) {
+    const Tensor scores = ops::MatMulTransposedB(embedded[i], index);
+    ranks[i] = RankOf(scores.data(), n, examples[i].relevant_table);
+  }
   return ComputeRanking(ranks);
 }
 
 std::vector<int64_t> RetrievalTask::TopK(const std::string& query,
                                          const TableCorpus& corpus,
                                          int64_t k) {
-  const Tensor q = EmbedQuery(query);
-  const Tensor& index = SyncIndex(corpus);
+  std::vector<Tensor> embedded;
+  const Tensor& index = SyncIndex(corpus, {&query}, &embedded);
   const int64_t n = std::clamp<int64_t>(k, 0, corpus.size());
   if (n == 0) return {};
-  const Tensor scores = ops::MatMulTransposedB(q, index);  // [1, N]
+  const Tensor scores =
+      ops::MatMulTransposedB(embedded[0], index);  // [1, N]
   const float* s = scores.data();
   std::vector<int64_t> order(static_cast<size_t>(corpus.size()));
   std::iota(order.begin(), order.end(), 0);

@@ -39,8 +39,9 @@ std::vector<RetrievalExample> GenerateRetrievalExamples(
 /// per table. Every call re-checks both and re-embeds the corpus when
 /// either differs, so the index follows training, imported or directly
 /// written weights, edited cells and a different corpus without any
-/// call to invalidate it. Like the rest of the task, not safe for
-/// concurrent callers.
+/// call to invalidate it. The check and the call's query encodes are
+/// jobs of one runtime::ParallelFor. Like the rest of the task, not
+/// safe for concurrent callers.
 class RetrievalTask {
  public:
   RetrievalTask(TableEncoderModel* model, const TableSerializer* serializer,
@@ -71,17 +72,29 @@ class RetrievalTask {
 
   ag::Variable ForwardQuery(const std::string& query, Rng& rng);
   ag::Variable ForwardTable(const Table& table, Rng& rng);
+  /// EmbedQuery's graph-free encode, without its mode switches: the
+  /// caller puts the model and the query head in eval mode.
+  Tensor EncodeQuery(const std::string& query);
+  /// Training mode of the encoder and both projection heads.
+  void SetTraining(bool training);
   /// Embeds corpus table i into row i of an [N, embed_dim] matrix,
   /// in parallel and graph-free, with the rng EmbedTable uses. The
   /// caller puts the model and the table head in eval mode.
   Tensor EmbedCorpus(const TableCorpus& corpus);
   /// Fingerprints of the encoder and table-head parameter bytes and of
-  /// each corpus table's content, independent of the thread count.
-  void Fingerprint(const TableCorpus& corpus, uint64_t* weights,
+  /// each corpus table's content, independent of the thread count. In
+  /// the same fork-join, (*embedded)[i] = EncodeQuery(*queries[i]).
+  void Fingerprint(const TableCorpus& corpus,
+                   const std::vector<const std::string*>& queries,
+                   std::vector<Tensor>* embedded, uint64_t* weights,
                    std::vector<uint64_t>* tables);
   /// Brings index_ up to date with `corpus` and the current weights,
-  /// re-embedding the corpus when a fingerprint does not match.
-  const Tensor& SyncIndex(const TableCorpus& corpus);
+  /// re-embedding the corpus when a fingerprint does not match, and
+  /// embeds `queries` into `embedded` beside the check. Eval mode holds
+  /// for the whole call.
+  const Tensor& SyncIndex(const TableCorpus& corpus,
+                          const std::vector<const std::string*>& queries,
+                          std::vector<Tensor>* embedded);
 
   /// What the corpus index rows embed: the weights and, per row, the
   /// table content.

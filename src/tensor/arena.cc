@@ -35,7 +35,10 @@ void Arena::AddSlab(std::size_t min_bytes) {
   if (!slabs_.empty()) bytes = std::max(bytes, slabs_.back().bytes * 2);
   Slab slab;
   slab.bytes = bytes;
-  slab.storage = std::make_unique<float[]>(bytes / sizeof(float) + kAlign);
+  // Not zero-filled: a thread that stages a few KB touches only those
+  // pages of its first slab.
+  slab.storage =
+      std::make_unique_for_overwrite<float[]>(bytes / sizeof(float) + kAlign);
   slabs_.push_back(std::move(slab));
   reserved_ += bytes;
   static obs::Gauge& reserved_gauge =

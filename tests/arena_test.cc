@@ -3,7 +3,10 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <new>
+#include <string>
+#include <thread>
 
 #include "obs/metrics.h"
 #include "tensor/arena.h"
@@ -24,6 +27,40 @@ void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace tabrep {
 namespace {
+
+/// Resident set size of this process, from /proc/self/status (-1 where
+/// it cannot be read).
+long ResidentKb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) return std::stol(line.substr(6));
+  }
+  return -1;
+}
+
+// First in the file, so its thread is the binary's first new thread and
+// gets fresh heap pages: a zero-filled first slab would make all of its
+// 1 MiB resident.
+TEST(ArenaTest, FreshThreadTouchesOnlyWhatItUses) {
+#if defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "ASan makes ~400 kB resident for a new thread's heap";
+#endif
+  if (ResidentKb() < 0) GTEST_SKIP() << "no VmRSS in /proc/self/status";
+  long grown_kb = 0;
+  std::size_t reserved = 0;
+  std::thread([&] {
+    const long before = ResidentKb();
+    mem::ScratchScope scope;
+    void* p = mem::Arena::ThreadLocal().Alloc(4096);
+    std::memset(p, 0xAB, 4096);
+    grown_kb = ResidentKb() - before;
+    reserved = mem::Arena::ThreadLocal().reserved_bytes();
+  }).join();
+  EXPECT_GE(reserved, std::size_t{1} << 20);
+  EXPECT_LT(grown_kb, 256) << "a 4 KiB arena allocation made " << grown_kb
+                           << " kB resident";
+}
 
 TEST(ArenaTest, AllocationsAre64ByteAligned) {
   mem::ScratchScope scope;

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <vector>
 
 #include "nn/attention.h"
 #include "nn/layers.h"
@@ -275,6 +280,76 @@ TEST(OptimizerTest, AdamWDecaysWeights) {
     opt.Step();
   }
   EXPECT_LT(std::fabs(x.value()[0]), 1.0f);
+}
+
+/// Five steps of `opt` on L = sum(x^2) + sum(y^3); then x and y.
+std::vector<float> TrainFiveSteps(nn::Optimizer& opt, ag::Variable& x,
+                                  ag::Variable& y) {
+  for (int i = 0; i < 5; ++i) {
+    opt.ZeroGrad();
+    ag::Backward(ag::Add(ag::SumAll(ag::Mul(x, x)),
+                         ag::SumAll(ag::Mul(ag::Mul(y, y), y))));
+    opt.Step();
+  }
+  std::vector<float> out(x.value().data(), x.value().data() + x.numel());
+  out.insert(out.end(), y.value().data(), y.value().data() + y.numel());
+  return out;
+}
+
+// Optimizer state is made on the first Step. The parameters after five
+// steps are bitwise the values recorded when Adam and momentum SGD
+// zero-filled their state in the constructor; the parameters are
+// rewritten between construction and the first Step.
+TEST(OptimizerTest, LazyStateMatchesRecordedTrajectories) {
+  const std::vector<float> x0 = {0.75f, -1.25f, 2.0f, 0.5f, -0.125f, 1.5f};
+  const std::vector<float> y0 = {0.5f, -0.25f, 1.0f, 0.875f};
+  struct Case {
+    const char* name;
+    std::function<std::unique_ptr<nn::Optimizer>(
+        std::vector<ag::Variable*>)>
+        make;
+    std::vector<float> want;
+  };
+  const std::vector<Case> cases = {
+      {"adam",
+       [](std::vector<ag::Variable*> p) {
+         return std::make_unique<nn::Adam>(std::move(p), 0.1f);
+       },
+       {0x1.0d2da4p-2f, -0x1.82e65p-1f, 0x1.80c1bep+0f, 0x1.c7b83p-6f,
+        0x1.85d04p-5f, 0x1.011da6p+0f, 0x1.ea3554p-5f, -0x1.7602d2p-1f,
+        0x1.0a389ap-1f, 0x1.99563cp-2f}},
+      {"adamw",
+       [](std::vector<ag::Variable*> p) {
+         nn::AdamOptions opts;
+         opts.weight_decay = 0.05f;
+         return std::make_unique<nn::Adam>(std::move(p), 0.03f, opts);
+       },
+       {0x1.30ea5ap-1f, -0x1.176beap+0f, 0x1.d5f284p+0f, 0x1.6439a2p-2f,
+        0x1.aded5cp-7f, 0x1.56ece2p+0f, 0x1.65ec12p-2f, -0x1.97635cp-2f,
+        0x1.b02d2ep-1f, 0x1.70c256p-1f}},
+      {"sgd_momentum",
+       [](std::vector<ag::Variable*> p) {
+         return std::make_unique<nn::Sgd>(std::move(p), 0.05f, 0.9f);
+       },
+       {-0x1.665134p-6f, 0x1.2a9906p-5f, -0x1.ddc204p-5f, -0x1.ddc204p-7f,
+        0x1.ddc204p-9f, -0x1.665134p-5f, 0x1.1790c2p-3f, -0x1.98b4aep-2f,
+        -0x1.599da4p-3f, -0x1.02c85cp-4f}},
+  };
+  for (const Case& c : cases) {
+    ag::Variable x = ag::Variable::Param(Tensor::Zeros({2, 3}));
+    ag::Variable y = ag::Variable::Param(Tensor::Zeros({4}));
+    std::unique_ptr<nn::Optimizer> opt = c.make({&x, &y});
+    x.mutable_value() = Tensor::FromVector({2, 3}, x0);
+    y.mutable_value() = Tensor::FromVector({4}, y0);
+    const std::vector<float> got = TrainFiveSteps(*opt, x, y);
+    ASSERT_EQ(got.size(), c.want.size()) << c.name;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<uint32_t>(got[i]),
+                std::bit_cast<uint32_t>(c.want[i]))
+          << c.name << " value " << i << ": " << got[i] << " vs "
+          << c.want[i];
+    }
+  }
 }
 
 TEST(OptimizerTest, GradClipScalesLargeGradients) {

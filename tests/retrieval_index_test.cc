@@ -17,6 +17,7 @@
 #include "serialize/vocab_builder.h"
 #include "table/synth.h"
 #include "tasks/retrieval.h"
+#include "tensor/ops.h"
 
 namespace tabrep {
 
@@ -25,6 +26,15 @@ struct RetrievalIndexPeer {
   /// TopK / Evaluate call.
   static const Tensor& Rows(const RetrievalTask& task) {
     return task.index_.rows;
+  }
+  /// The query embedding TopK ranks with: encoded in the index check's
+  /// fork-join.
+  static Tensor QueryBesideTheCheck(RetrievalTask& task,
+                                    const std::string& query,
+                                    const TableCorpus& corpus) {
+    std::vector<Tensor> embedded;
+    task.SyncIndex(corpus, {&query}, &embedded);
+    return embedded.at(0);
   }
 };
 
@@ -272,6 +282,103 @@ TEST_F(RetrievalIndexTest, IndexRowsDoNotDependOnThreadCount) {
   EXPECT_EQ(0,
             std::memcmp(rows[0].data(), rows[1].data(),
                         static_cast<size_t>(rows[0].numel()) * sizeof(float)));
+}
+
+bool BitwiseEqual(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+// TopK encodes its query as a job of the index check's fork-join, with
+// the encode's own ParallelFor calls inline. The embedding is bitwise
+// EmbedQuery's at every thread count, and the answer is exactly the
+// ranking of EmbedQuery's scores against the index rows.
+TEST_F(RetrievalIndexTest, QueryEncodedBesideTheCheckIsEmbedQuerys) {
+  TableEncoderModel model(Config(1));
+  const int64_t n = corpus_->size();
+  std::vector<Tensor> first_thread_count;
+  for (int threads : {1, 2, 4}) {
+    runtime::Configure(runtime::RuntimeConfig{threads});
+    RetrievalTask task(&model, serializer_, TaskConfig());
+    for (int qi = 0; qi < 4; ++qi) {
+      const std::string query = Query(qi);
+      for (int64_t k : {int64_t{5}, n}) {
+        const std::vector<int64_t> got = task.TopK(query, *corpus_, k);
+        const Tensor q = task.EmbedQuery(query);
+        const Tensor scores =
+            ops::MatMulTransposedB(q, RetrievalIndexPeer::Rows(task));
+        std::vector<int64_t> want(static_cast<size_t>(n));
+        std::iota(want.begin(), want.end(), 0);
+        std::stable_sort(want.begin(), want.end(), [&](int64_t a, int64_t b) {
+          return scores.data()[a] > scores.data()[b];
+        });
+        want.resize(static_cast<size_t>(k));
+        EXPECT_EQ(got, want) << threads << " threads, query " << qi;
+      }
+      const Tensor beside =
+          RetrievalIndexPeer::QueryBesideTheCheck(task, query, *corpus_);
+      const Tensor alone = task.EmbedQuery(query);
+      EXPECT_TRUE(BitwiseEqual(beside, alone))
+          << threads << " threads, query " << qi;
+      if (threads == 1) {
+        first_thread_count.push_back(alone);
+      } else {
+        EXPECT_TRUE(BitwiseEqual(alone,
+                                 first_thread_count[static_cast<size_t>(qi)]))
+            << threads << " threads, query " << qi;
+      }
+    }
+  }
+  runtime::Configure(runtime::RuntimeConfig{});
+}
+
+// Evaluate encodes every query beside the index check and ranks after
+// the join. Its report equals a ranking the test computes from
+// EmbedQuery and the index rows, at every thread count, cold and warm,
+// and equals the report recorded when each query was encoded and
+// ranked inside its own ParallelFor chunk after the check.
+TEST_F(RetrievalIndexTest, EvaluateRanksDoNotDependOnThreadCount) {
+  Rng rng(9);
+  const std::vector<RetrievalExample> examples =
+      GenerateRetrievalExamples(*corpus_, rng);
+  const int64_t n = corpus_->size();
+  for (int threads : {1, 2, 4}) {
+    runtime::Configure(runtime::RuntimeConfig{threads});
+    TableEncoderModel model(Config(1));
+    RetrievalTask task(&model, serializer_, TaskConfig());
+    task.Train(*corpus_, examples);
+    const RankingReport cold = task.Evaluate(*corpus_, examples);
+    const RankingReport warm = task.Evaluate(*corpus_, examples);
+    std::vector<int64_t> ranks;
+    for (const RetrievalExample& ex : examples) {
+      const Tensor scores = ops::MatMulTransposedB(
+          task.EmbedQuery(ex.query), RetrievalIndexPeer::Rows(task));
+      const float target = scores.data()[ex.relevant_table];
+      int64_t rank = 1;
+      for (int64_t i = 0; i < n; ++i) {
+        rank += scores.data()[i] > target ||
+                (scores.data()[i] == target && i < ex.relevant_table);
+      }
+      ranks.push_back(rank);
+    }
+    const RankingReport want = ComputeRanking(ranks);
+    for (const RankingReport* got : {&cold, &warm}) {
+      EXPECT_EQ(got->num_queries, want.num_queries) << threads << " threads";
+      EXPECT_EQ(got->mrr, want.mrr) << threads << " threads";
+      EXPECT_EQ(got->hit_at_1, want.hit_at_1) << threads << " threads";
+      EXPECT_EQ(got->hit_at_5, want.hit_at_5) << threads << " threads";
+      EXPECT_EQ(got->hit_at_10, want.hit_at_10) << threads << " threads";
+      EXPECT_EQ(got->ndcg_at_10, want.ndcg_at_10) << threads << " threads";
+    }
+    EXPECT_EQ(cold.num_queries, 24);
+    EXPECT_EQ(cold.mrr, 0x1.643b3b5e3584p-3) << threads << " threads";
+    EXPECT_EQ(cold.hit_at_1, 0x1.5555555555555p-5) << threads << " threads";
+    EXPECT_EQ(cold.hit_at_5, 0x1p-2) << threads << " threads";
+    EXPECT_EQ(cold.hit_at_10, 0x1p-1) << threads << " threads";
+    EXPECT_EQ(cold.ndcg_at_10, 0x1.ce7bcfe455d6fp-3) << threads << " threads";
+  }
+  runtime::Configure(runtime::RuntimeConfig{});
 }
 
 TEST_F(RetrievalIndexTest, EdgeCases) {
